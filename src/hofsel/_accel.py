@@ -1,19 +1,14 @@
-"""Row-fit kernels with a numba fast path and a numpy fallback.
+"""Row-fit kernel: minibatch gradient ascent on one unmixing row.
 
-The expensive inner loop of the toolkit is fitting one row of a triangular
-unmixing matrix by minibatch gradient ascent. The algorithm is written once
-as a plain numpy function and compiled with numba when available; both paths
-walk the identical batch sequence (one fixed permutation, rotated by a per
-epoch offset), so results agree to float round-off. Set HOFSEL_NO_NUMBA=1 to
-force the numpy path.
+The expensive inner loop of the unmixing model is fitting one row of a
+triangular unmixing matrix. Every epoch walks one fixed permutation of the
+samples, rotated by a per-epoch offset, so a fit is deterministic.
 """
-
-import os
 
 import numpy as np
 
 
-def _fit_row_impl(Xp, w0, lr0, batch, max_epochs, tol):
+def fit_row(Xp, w0, lr0, batch, max_epochs, tol):
     """Train the last unmixing row on permuted samples Xp (N, k).
 
     The objective per epoch is the restricted row log-likelihood
@@ -71,58 +66,3 @@ def _fit_row_impl(Xp, w0, lr0, batch, max_epochs, tol):
             break
         ll_prev = ll
     return w, ll_prev, epochs, status
-
-
-def _row_loglik_impl(Xp, w):
-    """Restricted row log-likelihood used by the fit loop."""
-    s = np.dot(Xp, w)
-    a = np.abs(s)
-    return -(a + 2.0 * np.log1p(np.exp(-a))).mean() + np.log(np.abs(w[-1]))
-
-
-def _train_ovr_impl(Z, targets, l2, epochs, lr):
-    """Full-batch one-vs-rest logistic descent from zero init.
-
-    Z is the standardized (N, d) design, targets the (N, C) one-hot
-    matrix. Returns (weights (C, d), bias (C,)). The sigmoid is the
-    tanh half-angle form, finite for any argument.
-    """
-    n = Z.shape[0]
-    c = targets.shape[1]
-    W = np.zeros((c, Z.shape[1]))
-    b = np.zeros(c)
-    for _ in range(epochs):
-        P = 0.5 * (1.0 + np.tanh(0.5 * (np.dot(Z, W.T) + b)))
-        G = (P - targets) / n
-        W = W - lr * (np.dot(G.T, Z) + l2 * W)
-        b = b - lr * np.sum(G.T, axis=1)
-    return W, b
-
-
-fit_row_numpy = _fit_row_impl
-row_loglik_numpy = _row_loglik_impl
-train_ovr_numpy = _train_ovr_impl
-
-try:
-    from numba import njit
-
-    fit_row_numba = njit(cache=True)(_fit_row_impl)
-    row_loglik_numba = njit(cache=True)(_row_loglik_impl)
-    train_ovr_numba = njit(cache=True)(_train_ovr_impl)
-    HAVE_NUMBA = True
-except ImportError:
-    fit_row_numba = None
-    row_loglik_numba = None
-    train_ovr_numba = None
-    HAVE_NUMBA = False
-
-NUMBA_ENABLED = HAVE_NUMBA and os.environ.get("HOFSEL_NO_NUMBA", "") != "1"
-
-if NUMBA_ENABLED:
-    fit_row = fit_row_numba
-    row_loglik = row_loglik_numba
-    train_ovr = train_ovr_numba
-else:
-    fit_row = fit_row_numpy
-    row_loglik = row_loglik_numpy
-    train_ovr = train_ovr_numpy

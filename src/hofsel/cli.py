@@ -18,7 +18,8 @@ import numpy as np
 from . import __version__
 from .criteria import Criterion, CriterionError, select_greedy
 from .data import DataError, discretize, load_csv, write_csv
-from .eval import EvalError, cross_validate, information_gain_curve
+from .eval import EvalError, cross_validate, default_k_values, \
+    information_gain_curve
 from .hofs import HofsConfig, HofsError, partition_pearson, r_balance, \
     run_hofs
 from .ica import IcaError
@@ -33,21 +34,6 @@ def _resolve_out_dir(out_dir):
     path = out_dir or os.environ.get("HOFSEL_OUT_DIR") or "."
     os.makedirs(path, exist_ok=True)
     return path
-
-
-def _apply_threads():
-    raw = os.environ.get("HOFSEL_THREADS", "")
-    if not raw:
-        return
-    try:
-        n = max(1, int(raw))
-    except ValueError:
-        raise click.ClickException("HOFSEL_THREADS must be an integer")
-    try:
-        import numba
-        numba.set_num_threads(n)
-    except Exception:
-        pass
 
 
 def _atomic_write_text(path, text):
@@ -101,7 +87,6 @@ def _guarded(fn):
 @click.version_option(version=__version__, prog_name="hofsel")
 def main():
     """Information-theoretic feature selection toolkit."""
-    _apply_threads()
 
 
 @main.command()
@@ -273,7 +258,7 @@ def bench(data_path, label_column, methods, k_list, folds, bins, coverage,
             if any(k < 1 or k > m for k in ks):
                 raise EvalError("k values must lie in [1, %d]" % (m,))
         else:
-            ks = [k for k in range(10, min(100, m) + 1, 10)] or [m]
+            ks = default_k_values(m)
         t = max(ks)
         view = discretize(table, bins=bins)
         orders = {}

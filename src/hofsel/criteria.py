@@ -6,6 +6,7 @@ greedy: at every step the highest-scoring unselected feature wins, ties
 broken toward the lowest feature index.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,6 +148,10 @@ def select_greedy(criterion, view, labels, T, record_candidates=True):
                 continue
             s = score_candidate(criterion, cand, selected, view, labels,
                                 cache=cache)
+            if not math.isfinite(s):
+                raise FloatingPointError(
+                    "non-finite %s score (%r) for feature %d at step %d"
+                    % (criterion.kind, s, cand, len(selected) + 1))
             step_scores[cand] = s
             if best_score is None or s > best_score:
                 best = cand

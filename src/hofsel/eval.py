@@ -1,11 +1,10 @@
 """Evaluation harness: linear probes, cross-validation, error metrics,
 and whole-set information accounting."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import _accel
 from .infotheory import EstimatorError, mutual_information
 
 
@@ -22,8 +21,42 @@ class LinearModel:
     n_classes: int
 
 
-def _sigmoid(z):
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
+def _train_ovr(A, y, n_classes, l2, epochs, lr):
+    """Full-batch one-vs-rest logistic descent from zero init.
+
+    A is the augmented, transposed design (d+1, N): the standardized
+    features in the first d rows and ones in the last, so the bias is
+    the last weight column; keep applies the L2 shrink to the weight
+    columns only. y holds the class codes.
+    Returns (weights (C, d), bias (C,)).
+
+    The recipe per epoch is P = sigmoid(Z W' + b), G = (P - T) / N,
+    W -= lr (G'Z + l2 W), b -= lr sum(G). With the tanh form of the
+    sigmoid, P - T = (0.5 - T) + 0.5 tanh(s / 2); the first part does not
+    change between epochs, so its gradient is computed once. The loop
+    carries H = [W, b] / 2, so that H A is tanh's argument as it stands;
+    halving and doubling are exact in binary floating point.
+    """
+    d1, n = A.shape
+    Z1 = A.T
+    half_minus_t = np.full((n_classes, n), 0.5)
+    half_minus_t[y, np.arange(n)] = -0.5
+    fixed_step = np.dot(half_minus_t, Z1)
+    fixed_step *= 0.5 * lr / n
+    tanh_scale = 0.25 * lr / n
+    keep = np.full(d1, 1.0 - lr * l2)
+    keep[-1] = 1.0
+    H = np.zeros((n_classes, d1))
+    S = np.empty((n_classes, n))
+    for _ in range(epochs):
+        np.dot(H, A, out=S)
+        np.tanh(S, out=S)
+        step = np.dot(S, Z1)
+        step *= tanh_scale
+        step += fixed_step
+        H *= keep
+        H -= step
+    return 2.0 * H[:, :-1], 2.0 * H[:, -1]
 
 
 def train_linear(X, y, n_classes, l2=1e-3, epochs=500, lr=0.1):
@@ -43,11 +76,11 @@ def train_linear(X, y, n_classes, l2=1e-3, epochs=500, lr=0.1):
     mean = X.mean(axis=0)
     std = X.std(axis=0)
     std = np.where(std <= 1e-12, 1.0, std)
-    Z = (X - mean) / std
-    targets = np.zeros((n, n_classes))
-    targets[np.arange(n), y] = 1.0
-    W, b = _accel.train_ovr(np.ascontiguousarray(Z), targets, float(l2),
-                            int(epochs), float(lr))
+    A = np.empty((d + 1, n))
+    A[:d] = ((X - mean) / std).T
+    A[d] = 1.0
+    W, b = _train_ovr(A, y, int(n_classes), float(l2), int(epochs),
+                      float(lr))
     return LinearModel(weights=W, bias=b, mean=mean, std=std,
                        n_classes=int(n_classes))
 
@@ -166,7 +199,7 @@ def global_mi(view, features, labels, method="plugin", data=None,
     raise EvalError("unknown method %r" % (method,))
 
 
-def information_gain_curve(trace, view=None, labels=None):
+def information_gain_curve(trace):
     """Per-step increments of the running subset-total estimate.
 
     The first entry is the first feature's own estimate; the entries
@@ -178,14 +211,6 @@ def information_gain_curve(trace, view=None, labels=None):
     for prev, cur in zip(totals, totals[1:]):
         curve.append(cur - prev)
     return curve
-
-
-@dataclass
-class BenchReport:
-    methods: list
-    k_values: list
-    errors: dict = field(default_factory=dict)
-    orders: dict = field(default_factory=dict)
 
 
 def default_k_values(n_features):

@@ -265,6 +265,21 @@ def hofs_score(candidate, partition, data, config=None, state=None):
     return total
 
 
+def _require_finite(value, candidate, step, subset=None):
+    """Return a score (or one subset's term of it), raising if not finite.
+
+    A NaN never compares greater, so one that reached the argmax would
+    silently lose every step, or win it as the first candidate; the
+    surplus clamp max(0, term - estimate) would also turn a NaN term
+    into 0.
+    """
+    if not math.isfinite(value):
+        what = "score" if subset is None else "subset %d term" % (subset,)
+        raise FloatingPointError("non-finite %s (%r) for feature %d at "
+                                 "step %d" % (what, value, candidate, step))
+    return value
+
+
 def run_hofs(data, T, config=None):
     """Select T features greedily; returns (partition, trace).
 
@@ -295,10 +310,11 @@ def run_hofs(data, T, config=None):
             terms = {}
             surplus = 0.0
             for j, sub in enumerate(partition.subsets):
-                term = state.conditional_term(sub, cand)
+                term = _require_finite(state.conditional_term(sub, cand),
+                                       cand, t, subset=j)
                 terms[j] = term
                 surplus += max(0.0, term - sub.mi_estimate)
-            score = rel + surplus
+            score = _require_finite(rel + surplus, cand, t)
             cand_scores[cand] = score
             parts[cand] = {"relevance": rel, "terms": terms}
             if best_score is None or score > best_score:

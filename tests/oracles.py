@@ -127,12 +127,19 @@ def greedy_order(kind, codes, labels, t, beta=1.0):
     return selected
 
 
-def ovr_logistic_error(X_train, y_train, X_test, y_test, n_classes,
-                       l2=1e-3, epochs=500, lr=0.1):
-    """Reference one-vs-rest probe matching the documented recipe."""
+def train_standardization(X_train):
+    """Per-column mean and std; zero-variance columns keep scale 1."""
     mean = X_train.mean(axis=0)
     std = X_train.std(axis=0)
-    std = np.where(std <= 1e-12, 1.0, std)
+    return mean, np.where(std <= 1e-12, 1.0, std)
+
+
+def ovr_logistic_fit(X_train, y_train, n_classes, l2=1e-3, epochs=500,
+                     lr=0.1):
+    """Reference one-vs-rest probe weights, one literal step per epoch.
+
+    Returns (W (C, d), b (C,)) fitted on the training-standardized design."""
+    mean, std = train_standardization(X_train)
     Z = (X_train - mean) / std
     T = np.zeros((len(y_train), n_classes))
     T[np.arange(len(y_train)), y_train] = 1.0
@@ -143,6 +150,14 @@ def ovr_logistic_error(X_train, y_train, X_test, y_test, n_classes,
         G = (P - T) / len(y_train)
         W -= lr * (G.T @ Z + l2 * W)
         b -= lr * G.sum(axis=0)
+    return W, b
+
+
+def ovr_logistic_error(X_train, y_train, X_test, y_test, n_classes,
+                       l2=1e-3, epochs=500, lr=0.1):
+    """Reference one-vs-rest probe matching the documented recipe."""
+    W, b = ovr_logistic_fit(X_train, y_train, n_classes, l2, epochs, lr)
+    mean, std = train_standardization(X_train)
     Zt = (X_test - mean) / std
     pred = np.argmax(Zt @ W.T + b, axis=1)
     return float(np.mean(pred != y_test) * 100.0)

@@ -95,6 +95,18 @@ class TestSelectCommand:
                             .split("\n", 1)[1])
         assert dumped["command"] == "select"
 
+    def test_nan_score_is_numeric_failure(self, runner, tree_csv, tmp_path,
+                                          monkeypatch):
+        from hofsel.hofs import _EngineState
+        monkeypatch.setattr(_EngineState, "conditional_term",
+                            lambda self, subset, candidate: float("nan"))
+        out_dir = tmp_path / "out"
+        result = runner.invoke(main, ["select", "--data", tree_csv,
+                                      "-T", "3", "--out-dir", str(out_dir)])
+        assert result.exit_code == 4, result.output
+        assert "non-finite" in result.output
+        assert not (out_dir / "selection.json").exists()
+
     def test_missing_file_is_data_error(self, runner, tmp_path):
         result = runner.invoke(main, ["select", "--data",
                                       str(tmp_path / "ghost.csv")])
@@ -165,9 +177,3 @@ class TestTopLevel:
         assert result.exit_code == 0
         for cmd in ("select", "synth", "bench", "diagnose"):
             assert cmd in result.output
-
-    def test_bad_threads_env_rejected(self, runner, tree_csv, monkeypatch):
-        monkeypatch.setenv("HOFSEL_THREADS", "many")
-        result = runner.invoke(main, ["select", "--data", tree_csv,
-                                      "--config-dump"])
-        assert result.exit_code != 0

@@ -131,6 +131,22 @@ class TestGreedySelection:
         assert result.per_step_candidates[0][result.order[0]] == \
             pytest.approx(result.scores[0], abs=1e-12)
 
+    def test_nan_score_raises_instead_of_winning(self, monkeypatch):
+        import hofsel.criteria as criteria
+        rng = np.random.default_rng(7)
+        view, labels = random_view(rng, 120, 5)
+        real = criteria.score_candidate
+
+        def nan_for_first(criterion, candidate, *args, **kwargs):
+            if candidate == 0:
+                return float("nan")
+            return real(criterion, candidate, *args, **kwargs)
+
+        monkeypatch.setattr(criteria, "score_candidate", nan_for_first)
+        with pytest.raises(FloatingPointError,
+                           match=r"MIM score .* feature 0 at step 1"):
+            select_greedy(Criterion(MIM), view, labels, 2)
+
     def test_bad_t_rejected(self):
         rng = np.random.default_rng(6)
         view, labels = random_view(rng, 50, 4)

@@ -62,6 +62,25 @@ class TestProbe:
         ref = oracles.ovr_logistic_error(X_tr, y_tr, X_te, y_te, 3)
         assert ours == pytest.approx(ref, abs=1e-9)
 
+    @pytest.mark.parametrize("n, d, n_classes, present, constant_col", [
+        (20000, 3, 2, 2, None),
+        (900, 10, 5, 5, None),
+        (600, 4, 3, 3, 2),
+        (600, 4, 4, 3, None),
+    ], ids=["binary-large", "five-class", "zero-variance-column",
+            "absent-class"])
+    def test_weights_match_reference_recipe(self, n, d, n_classes, present,
+                                            constant_col):
+        rng = np.random.default_rng(11)
+        y = np.arange(n) % present
+        X = rng.normal(size=(n, d)) + 0.8 * y[:, None] * rng.normal(size=d)
+        if constant_col is not None:
+            X[:, constant_col] = 0.3
+        model = train_linear(X, y, n_classes)
+        W, b = oracles.ovr_logistic_fit(X, y, n_classes)
+        assert np.abs(model.weights - W).max() <= 1e-9
+        assert np.abs(model.bias - b).max() <= 1e-9
+
     def test_standardization_is_learned_from_train(self):
         rng = np.random.default_rng(3)
         X, y = blob_data(rng, 80, 2)

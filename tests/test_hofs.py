@@ -250,6 +250,15 @@ class TestRunHofs:
             assert s1.candidate_scores == s2.candidate_scores
 
 
+    def test_nan_term_raises_naming_feature_and_step(self, small_tree,
+                                                     monkeypatch):
+        monkeypatch.setattr(_EngineState, "conditional_term",
+                            lambda self, subset, candidate: float("nan"))
+        with pytest.raises(FloatingPointError,
+                           match=r"subset 0 term .* at step 2"):
+            run_hofs(small_tree, 2, HofsConfig())
+
+
 class TestAccumulate:
     def test_replaying_selection_order_rebuilds_partition(self, small_tree):
         config = HofsConfig()

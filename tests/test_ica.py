@@ -1,10 +1,8 @@
 import math
-import os
 
 import numpy as np
 import pytest
 
-from hofsel import _accel
 from hofsel.ica import (
     IcaConfig,
     IcaError,
@@ -187,34 +185,3 @@ class TestInfomaxObjective:
         before = infomax_loglik(W, X)
         after = infomax_loglik(W + 1e-4 * g, X)
         assert after > before
-
-
-class TestAccelParity:
-    @pytest.mark.skipif(not _accel.HAVE_NUMBA, reason="numba unavailable")
-    def test_fit_row_paths_agree(self):
-        rng = np.random.default_rng(17)
-        Xp = np.ascontiguousarray(rng.normal(size=(512, 1)))
-        w0 = np.array([0.8])
-        args = (w0, 0.01, 256, 200, 1e-5)
-        out_np = _accel.fit_row_numpy(Xp, *args)
-        out_nb = _accel.fit_row_numba(Xp, *args)
-        assert np.allclose(out_np[0], out_nb[0], atol=1e-9)
-
-    @pytest.mark.skipif(not _accel.HAVE_NUMBA, reason="numba unavailable")
-    def test_train_ovr_paths_agree(self):
-        rng = np.random.default_rng(18)
-        Z = np.ascontiguousarray(rng.normal(size=(120, 4)))
-        y = rng.integers(0, 3, size=120)
-        targets = np.zeros((120, 3))
-        targets[np.arange(120), y] = 1.0
-        W1, b1 = _accel.train_ovr_numpy(Z, targets, 1e-3, 200, 0.1)
-        W2, b2 = _accel.train_ovr_numba(Z, targets, 1e-3, 200, 0.1)
-        assert np.allclose(W1, W2, atol=1e-9)
-        assert np.allclose(b1, b2, atol=1e-9)
-
-    def test_env_flag_selects_numpy_path(self):
-        env = os.environ.get("HOFSEL_NO_NUMBA", "")
-        if env == "1":
-            assert _accel.fit_row is _accel.fit_row_numpy
-        elif _accel.HAVE_NUMBA:
-            assert _accel.fit_row is _accel.fit_row_numba
