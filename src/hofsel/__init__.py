@@ -15,9 +15,9 @@ from .data import (CATEGORICAL, CONTINUOUS, DataError, DataTable,
 from .infotheory import (EstimatorError, conditional_entropy,
                          conditional_mutual_information, entropy,
                          joint_codes, joint_entropy, mutual_information)
-from .ica import (IcaConfig, IcaError, IcaModel, append_feature,
-                  avg_pearson, empty_model, fit_batch, infomax_grad,
-                  infomax_loglik, joint_entropy_estimate, signal_entropy)
+from .ica import (IcaError, IcaModel, append_feature, avg_pearson,
+                  empty_model, fit_batch, infomax_grad, infomax_loglik,
+                  joint_entropy_estimate, logistic_scale, signal_entropy)
 from .criteria import (CMIM, JMI, KINDS, MIFS, MIM, MRMR, SPECCMI_GREEDY,
                        Criterion, CriterionError, SelectionResult,
                        score_candidate, select_greedy)

@@ -36,17 +36,27 @@ def _resolve_out_dir(out_dir):
     return path
 
 
-def _atomic_write_text(path, text):
+def _atomic_write(path, write):
+    """Run write(tmp_path) on a temp file beside path, then rename it."""
     directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".hofsel-tmp-")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write_text(path, text):
+    def write(tmp):
+        with open(tmp, "w") as fh:
+            fh.write(text)
+
+    _atomic_write(path, write)
 
 
 def _write_json(path, payload):
@@ -101,14 +111,13 @@ def main():
               help="Coverage threshold for joining a subset.")
 @click.option("--beta", type=float, default=1.0, show_default=True,
               help="Redundancy weight for MIFS.")
-@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--missing-policy", default="drop", show_default=True,
               type=click.Choice(["drop", "impute"]))
 @click.option("--out-dir", default=None, help="Output directory.")
 @click.option("--config-dump", is_flag=True,
               help="Print the resolved configuration and exit.")
 def select(data_path, label_column, method, n_select, bins, coverage, beta,
-           seed, missing_policy, out_dir, config_dump):
+           missing_policy, out_dir, config_dump):
     """Run one selection method and write the chosen features."""
 
     def body():
@@ -116,7 +125,7 @@ def select(data_path, label_column, method, n_select, bins, coverage, beta,
             "command": "select", "data": data_path,
             "label_column": label_column, "method": method,
             "n_select": n_select, "bins": bins, "C": coverage,
-            "beta": beta, "seed": seed, "missing_policy": missing_policy,
+            "beta": beta, "missing_policy": missing_policy,
             "out_dir": out_dir or os.environ.get("HOFSEL_OUT_DIR") or ".",
         }
         _echo_config(cfg)
@@ -127,7 +136,7 @@ def select(data_path, label_column, method, n_select, bins, coverage, beta,
         t = n_select if n_select is not None else table.n_features
         out = _resolve_out_dir(out_dir)
         if method == "hofs":
-            config = HofsConfig(C=coverage, bins=bins, seed=seed)
+            config = HofsConfig(C=coverage, bins=bins)
             partition, trace = run_hofs(table, t, config)
             names = table.feature_names
             payload = {
@@ -207,17 +216,7 @@ def synth(model, n_samples, seed, flip_rate, out_path):
                                     "multiple of 10")
                 spec.block_size = n_samples // 10
             table = gen_hetero(spec)
-        directory = os.path.dirname(os.path.abspath(out_path)) or "."
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".hofsel-tmp-")
-        os.close(fd)
-        try:
-            write_csv(table, tmp)
-            os.replace(tmp, out_path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        _atomic_write(out_path, lambda tmp: write_csv(table, tmp))
         click.echo("wrote %s (%d samples, %d features)" %
                    (out_path, table.n_samples, table.n_features))
 
@@ -264,7 +263,7 @@ def bench(data_path, label_column, methods, k_list, folds, bins, coverage,
         orders = {}
         for method in method_list:
             if method == "hofs":
-                config = HofsConfig(C=coverage, bins=bins, seed=seed)
+                config = HofsConfig(C=coverage, bins=bins)
                 partition, _ = run_hofs(table, t, config)
                 orders[method] = partition.selection_order
             else:
@@ -303,20 +302,18 @@ def bench(data_path, label_column, methods, k_list, folds, bins, coverage,
 @click.option("-T", "--n-select", type=int, default=None)
 @click.option("--bins", type=int, default=5, show_default=True)
 @click.option("-C", "--coverage", type=float, default=0.5, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out-dir", default=None)
-def diagnose(data_path, label_column, n_select, bins, coverage, seed,
-             out_dir):
+def diagnose(data_path, label_column, n_select, bins, coverage, out_dir):
     """Run the subset selector and report model health diagnostics."""
 
     def body():
         cfg = {"command": "diagnose", "data": data_path,
                "label_column": label_column, "n_select": n_select,
-               "bins": bins, "C": coverage, "seed": seed}
+               "bins": bins, "C": coverage}
         _echo_config(cfg)
         table = _load_table(data_path, label_column, "drop")
         t = n_select if n_select is not None else table.n_features
-        config = HofsConfig(C=coverage, bins=bins, seed=seed)
+        config = HofsConfig(C=coverage, bins=bins)
         partition, trace = run_hofs(table, t, config)
         overall_pearson, per_pearson = partition_pearson(partition)
         balance, per_balance = r_balance(partition, table, config,

@@ -23,11 +23,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import _discretize_column, discretize, standardize_column
-from .ica import IcaConfig, IcaModel, append_feature, avg_pearson, empty_model
+from .ica import IcaModel, append_feature, avg_pearson, empty_model, \
+    logistic_scale
 from .infotheory import entropy, joint_entropy, mutual_information
 
 LABEL_FEATURE_ID = 1 << 20
-ROW_STREAM_TAG = 3
 
 
 class HofsError(ValueError):
@@ -44,9 +44,10 @@ def label_conditional_entropy(model_with_label, labels, bins):
     one discrete scale. When the reconstruction is numerically constant
     the linear fit carries no information, and the estimate falls back
     to the label signal's histogram entropy minus the log diagonal and
-    minus the fitted log concentration; a residual more concentrated
-    than its spread implies (as in parity interactions) still lowers
-    that fallback below the marginal entropy.
+    minus the log of its logistic scale, solved here and only here by
+    logistic_scale; a residual more concentrated than its spread implies
+    (as in parity interactions) still lowers that fallback below the
+    marginal entropy.
     """
     w_last = model_with_label.W[-1]
     recon = np.zeros(model_with_label.n_samples)
@@ -54,10 +55,9 @@ def label_conditional_entropy(model_with_label, labels, bins):
         beta = -w_last[:-1] / w_last[-1]
         recon = np.column_stack(model_with_label.columns[:-1]) @ beta
     if float(recon.var()) < 1e-12:
-        fitted = model_with_label.fit_meta["rows"][-1].get("scale", 1.0)
         return (model_with_label.signal_entropies[-1]
                 - math.log(abs(w_last[-1]))
-                - math.log(max(abs(fitted), 1e-12)))
+                - math.log(logistic_scale(model_with_label.S[-1])))
     codes, _ = _discretize_column(recon, "continuous", bins,
                                   "equal_frequency")
     return joint_entropy([codes, labels]) - entropy(codes)
@@ -67,8 +67,6 @@ def label_conditional_entropy(model_with_label, labels, bins):
 class HofsConfig:
     C: float = 0.5
     bins: int = 5
-    seed: int = 0
-    ica: IcaConfig = None
 
     def __post_init__(self):
         if not 0.0 <= self.C <= 1.0:
@@ -76,8 +74,6 @@ class HofsConfig:
         if int(self.bins) < 2:
             raise HofsError("bins must be at least 2")
         self.bins = int(self.bins)
-        if self.ica is None:
-            self.ica = IcaConfig(rng_seed=self.seed, bins=self.bins)
 
 
 @dataclass
@@ -165,8 +161,7 @@ class _EngineState:
                             columns=[np.zeros(n)],
                             fit_meta={"rows": [{"degenerate": True}]})
         return append_feature(empty_model(), self.icacols[fid],
-                              self.config.ica, feature_id=fid,
-                              stream_tag=ROW_STREAM_TAG)
+                              self.config.bins, feature_id=fid)
 
     def conditional_term(self, subset, candidate):
         """Model-based estimate of I(S:y | x) for candidate x and subset S.
@@ -184,16 +179,14 @@ class _EngineState:
         if self.constant[candidate] or self.label_constant:
             self.term_cache[key] = 0.0
             return 0.0
-        cfg = self.config.ica
-        m1 = append_feature(subset.model, self.icacols[candidate], cfg,
-                            feature_id=candidate, stream_tag=ROW_STREAM_TAG)
-        m2 = append_feature(m1, self.label_std, cfg,
-                            feature_id=LABEL_FEATURE_ID,
-                            stream_tag=ROW_STREAM_TAG)
+        bins = self.config.bins
+        m1 = append_feature(subset.model, self.icacols[candidate], bins,
+                            feature_id=candidate)
+        m2 = append_feature(m1, self.label_std, bins,
+                            feature_id=LABEL_FEATURE_ID)
         h_x = entropy(self.view.codes[candidate])
         h_xy = joint_entropy([self.view.codes[candidate], self.labels])
-        cond_h = label_conditional_entropy(m2, self.labels,
-                                           self.config.bins)
+        cond_h = label_conditional_entropy(m2, self.labels, bins)
         term = -h_x + h_xy - cond_h
         self.term_cache[key] = term
         return term
@@ -215,8 +208,7 @@ class _EngineState:
                 model = sub.model
             else:
                 model = append_feature(sub.model, self.icacols[fid],
-                                       self.config.ica, feature_id=fid,
-                                       stream_tag=ROW_STREAM_TAG)
+                                       self.config.bins, feature_id=fid)
             new_mi = float(self.rel[fid]) + term
             gain = new_mi - sub.mi_estimate
             sub.feature_ids = list(sub.feature_ids) + [fid]
@@ -328,12 +320,7 @@ def run_hofs(data, T, config=None):
             subset_index=idx, maxcov=maxcov, gain=gain, total_mi=total,
             candidate_scores=cand_scores, score_parts=parts))
     trace = SelectionTrace(steps=steps, config={
-        "T": T, "C": config.C, "bins": config.bins, "seed": config.seed,
-        "learning_rate": config.ica.learning_rate,
-        "batch_size": config.ica.batch_size,
-        "max_epochs": config.ica.max_epochs,
-        "convergence_tol": config.ica.convergence_tol,
-    })
+        "T": T, "C": config.C, "bins": config.bins})
     return partition, trace
 
 
@@ -376,9 +363,8 @@ def r_balance(partition, data, config=None, per_subset=False):
     for sub in partition.subsets:
         cols = [view.codes[f] for f in sub.feature_ids]
         num = joint_entropy(cols + [labels]) - joint_entropy(cols)
-        m2 = append_feature(sub.model, label_std, config.ica,
-                            feature_id=LABEL_FEATURE_ID,
-                            stream_tag=ROW_STREAM_TAG)
+        m2 = append_feature(sub.model, label_std, config.bins,
+                            feature_id=LABEL_FEATURE_ID)
         den = label_conditional_entropy(m2, labels, config.bins)
         if abs(den) < 1e-9:
             warnings.warn("subset %r excluded from balance ratio: "

@@ -1,14 +1,13 @@
 """Maximum-likelihood linear unmixing under a logistic source prior.
 
-The unmixing matrix is kept lower triangular: a batch fit trains the rows
-one after another, and appending a column trains only the new last row while
+The unmixing matrix is kept lower triangular: a batch fit adds the rows
+one after another, and appending a column adds only the new last row while
 the existing rows stay bit-identical. log|det W| is therefore always the sum
 of log|diagonal| terms, which is what the joint entropy estimate
 sum_j H(s_j) - log|det W| relies on.
 
-Every stochastic fit derives its random stream from (rng_seed, *stream_key),
-where the stream key encodes the ids of the columns being stacked. Fitting
-the same stack twice, anywhere, reproduces the same model bit for bit.
+Every row is a closed form of its columns: a model draws on no random
+stream, and permuting the samples changes it only by rounding.
 """
 
 import math
@@ -16,24 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _accel
-
 DIAG_MIN = 1e-8
+SCALE_MAX_STEPS = 100
 
 
 class IcaError(RuntimeError):
     pass
-
-
-@dataclass
-class IcaConfig:
-    learning_rate: float = 0.01
-    batch_size: int = 256
-    max_epochs: int = 200
-    convergence_tol: float = 1e-5
-    rng_seed: int = 0
-    bins: int = 5
-    max_restarts: int = 3
 
 
 @dataclass
@@ -42,7 +29,7 @@ class IcaModel:
 
     W is (d, d) lower triangular; S holds the d signal vectors W @ X;
     columns keeps the raw standardized inputs so later appends can extend
-    the stack. fit_meta records per-row convergence details.
+    the stack. fit_meta records per row whether it is degenerate.
     """
 
     feature_ids: tuple
@@ -78,11 +65,6 @@ def _check_standardized(col):
                        % (col.mean(), col.std()))
 
 
-def _stream_rng(config, stream):
-    key = (int(config.rng_seed),) + tuple(int(v) for v in stream)
-    return np.random.default_rng(np.random.SeedSequence(key))
-
-
 def signal_entropy(s, bins):
     """Plug-in code entropy of an equal-width histogram of the signal.
 
@@ -98,23 +80,21 @@ def signal_entropy(s, bins):
     return float(np.log(n) - (counts * np.log(counts)).sum() / n)
 
 
-def append_feature(model, new_col, config, feature_id=None, stream_tag=0):
-    """Extend the model by one column, learning only the new last row.
+def append_feature(model, new_col, bins, feature_id=None):
+    """Extend the model by one column, adding only the new last row.
 
     The row is the unit-variance least-squares residual direction of
     the new column on the stacked predecessors, which makes the new
     signal exactly uncorrelated with every existing signal and keeps
     the diagonal at 1/sd(residual), so the log determinant accumulates
     the residual spreads and the joint entropy estimate stays on the
-    same scale as the data. Minibatch ascent with the 1/sqrt(1+epoch)
-    step decay fits the residual's concentration under the logistic
-    source prior; the fitted value is recorded per row as "scale" in
-    fit_meta and feeds shape-sensitive consumers without entering W.
-    Numeric failures restart at half the step size up to
-    config.max_restarts times. A column that is an exact linear
-    combination of the stack is flagged degenerate: the row becomes the
-    (negated) projection with the diagonal clamped to DIAG_MIN, giving
-    a near-constant signal instead of a runaway fit.
+    same scale as the data. The new signal's entropy is the plug-in
+    entropy of its histogram over `bins` equal-width bins; its logistic
+    scale is not needed here and is solved on demand by logistic_scale.
+    A column that is an exact linear combination of the stack is flagged
+    degenerate: the row becomes the (negated) projection with the
+    diagonal clamped to DIAG_MIN, giving a near-constant signal instead
+    of a runaway row.
     """
     new_col = np.asarray(new_col, dtype=np.float64)
     if model.dim and new_col.shape[0] != model.n_samples:
@@ -123,80 +103,67 @@ def append_feature(model, new_col, config, feature_id=None, stream_tag=0):
     if feature_id is None:
         feature_id = model.dim
     d = model.dim + 1
-    n = new_col.shape[0]
     stack = model.columns + [new_col]
     X = np.column_stack(stack) if d > 1 else new_col.reshape(-1, 1)
 
     degenerate = False
-    row = None
-    direction = np.zeros(d)
-    direction[-1] = 1.0
-    resid_unit = new_col
+    row = np.ones(1)
     if d > 1:
         prev = X[:, :-1]
         beta, _, _, _ = np.linalg.lstsq(prev, new_col, rcond=None)
-        resid = new_col - prev @ beta
-        resid_var = float(resid.var())
-        if resid_var < 1e-9:
-            degenerate = True
-            row = np.concatenate([-beta, [1.0]]) * DIAG_MIN
-            meta_row = {"epochs": 0, "converged": True, "loglik": float("nan"),
-                        "restarts": 0, "degenerate": True,
-                        "learning_rate": 0.0}
+        resid_var = float((new_col - prev @ beta).var())
+        row = np.concatenate([-beta, [1.0]])
+        degenerate = resid_var < 1e-9
+        if degenerate:
+            row = row * DIAG_MIN
         else:
-            sd = math.sqrt(resid_var)
-            direction = np.concatenate([-beta, [1.0]]) / sd
-            resid_unit = resid / sd
-
-    if row is None:
-        stream = (int(stream_tag),) + tuple(model.feature_ids) + (int(feature_id),)
-        rng = _stream_rng(config, stream)
-        perm = rng.permutation(n)
-        Rp = np.ascontiguousarray(resid_unit[perm].reshape(-1, 1))
-        w0 = np.ones(1)
-        batch = min(int(config.batch_size), n)
-        status = 2
-        restarts = 0
-        scale = 1.0
-        ll = float("nan")
-        epochs = 0
-        lr = float(config.learning_rate)
-        for attempt in range(int(config.max_restarts) + 1):
-            lr = float(config.learning_rate) / (2.0 ** attempt)
-            w, ll, epochs, status = _accel.fit_row(
-                Rp, w0, lr, batch, int(config.max_epochs),
-                float(config.convergence_tol))
-            restarts = attempt
-            if status != 2:
-                scale = float(w[0])
-                break
-        if status == 2:
-            raise IcaError("row fit diverged after %d restarts" % restarts)
-        row = direction.copy()
-        if abs(row[-1]) < DIAG_MIN:
-            degenerate = True
-            row = row.copy()
-            row[-1] = math.copysign(DIAG_MIN, row[-1] if row[-1] != 0 else 1.0)
-        meta_row = {"epochs": int(epochs), "converged": status == 0,
-                    "loglik": float(ll), "restarts": int(restarts),
-                    "degenerate": degenerate, "learning_rate": lr,
-                    "scale": float(scale)}
+            row = row / math.sqrt(resid_var)
 
     W = np.zeros((d, d))
     if model.dim:
         W[:-1, :-1] = model.W
     W[-1, :] = row
     s = X @ row
-    entropies = model.signal_entropies + [signal_entropy(s, config.bins)]
-    meta = {"rows": model.fit_meta.get("rows", []) + [meta_row],
-            "batch_size": min(int(config.batch_size), n),
-            "rng_seed": int(config.rng_seed)}
+    entropies = model.signal_entropies + [signal_entropy(s, bins)]
+    meta = {"rows": model.fit_meta.get("rows", [])
+            + [{"degenerate": degenerate}]}
     return IcaModel(feature_ids=model.feature_ids + (int(feature_id),),
                     W=W, S=model.S + [s], signal_entropies=entropies,
                     columns=stack, fit_meta=meta)
 
 
-def fit_batch(matrix, config, feature_ids=None, stream_tag=0):
+def logistic_scale(signal):
+    """Maximum-likelihood scale of a signal under the logistic prior.
+
+    Maximizes f(w) = mean(log g'(w r)) + log w over w > 0, with g the
+    logistic cdf and r the signal, by full-batch Newton steps from w = 1
+    on the gradient 1/w - mean(r tanh(w r / 2)) and the curvature
+    -1/w^2 - mean(r^2 sech^2(w r / 2)) / 2. f is strictly concave for
+    w > 0, so the maximum is unique; a step that would reach w <= 0
+    halves w instead. Stops when w changes by at most 1e-12 of itself.
+    Raises IcaError for a signal with zero (or non-finite) variance,
+    which has no finite scale, and for a solve still moving after
+    SCALE_MAX_STEPS steps.
+    """
+    r = np.asarray(signal, dtype=np.float64)
+    if not float(r.var()) > 1e-12:
+        raise IcaError("signal has zero variance: no logistic scale")
+    w = 1.0
+    for _ in range(SCALE_MAX_STEPS):
+        t = np.tanh(0.5 * w * r)
+        grad = 1.0 / w - float(np.mean(r * t))
+        curv = -1.0 / (w * w) - 0.5 * float(np.mean(r * r * (1.0 - t * t)))
+        w_new = w - grad / curv
+        if not w_new > 0.0:
+            w_new = 0.5 * w
+        if abs(w_new - w) <= 1e-12 * w:
+            return w_new
+        w = w_new
+    raise IcaError("logistic scale did not converge in %d Newton steps"
+                   % SCALE_MAX_STEPS)
+
+
+def fit_batch(matrix, bins, feature_ids=None):
     """Fit a full triangular model by appending the columns in order.
 
     matrix is a (N, d) array or a list of d columns, already standardized.
@@ -214,8 +181,7 @@ def fit_batch(matrix, config, feature_ids=None, stream_tag=0):
         feature_ids = list(range(len(cols)))
     model = empty_model()
     for fid, col in zip(feature_ids, cols):
-        model = append_feature(model, col, config, feature_id=fid,
-                               stream_tag=stream_tag)
+        model = append_feature(model, col, bins, feature_id=fid)
     return model
 
 

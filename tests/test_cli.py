@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from hofsel.cli import main
+from hofsel.cli import _atomic_write, main
 from hofsel.data import load_csv
 from hofsel.synth import TreeModelSpec, gen_tree
 from hofsel.data import write_csv
@@ -21,6 +21,22 @@ def tree_csv(tmp_path):
     path = tmp_path / "tree.csv"
     write_csv(gen_tree(TreeModelSpec(n_samples=400, seed=0)), str(path))
     return str(path)
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_old_file_and_leaves_no_temp(self, tmp_path):
+        target = tmp_path / "out.txt"
+        target.write_text("old")
+
+        def fail(tmp):
+            with open(tmp, "w") as fh:
+                fh.write("partial")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError):
+            _atomic_write(str(target), fail)
+        assert target.read_text() == "old"
+        assert os.listdir(tmp_path) == ["out.txt"]
 
 
 class TestSynthCommand:

@@ -17,7 +17,8 @@ from hofsel.hofs import (
     subset_conditional_score,
 )
 from hofsel.infotheory import mutual_information
-from hofsel.synth import TreeModelSpec, gen_tree
+from hofsel.synth import HeteroModelSpec, TreeModelSpec, gen_hetero, \
+    gen_tree
 
 
 @pytest.fixture(scope="module")
@@ -54,11 +55,6 @@ class TestConfig:
             HofsConfig(C=-0.1)
         with pytest.raises(HofsError):
             HofsConfig(bins=1)
-
-    def test_seed_flows_into_ica_config(self):
-        config = HofsConfig(seed=7, bins=4)
-        assert config.ica.rng_seed == 7
-        assert config.ica.bins == 4
 
 
 class TestConditionalTerm:
@@ -241,9 +237,9 @@ class TestRunHofs:
         with pytest.raises(HofsError):
             run_hofs(small_tree, 10, HofsConfig())
 
-    def test_deterministic_given_seed(self, small_tree):
-        p1, t1 = run_hofs(small_tree, 5, HofsConfig(seed=3))
-        p2, t2 = run_hofs(small_tree, 5, HofsConfig(seed=3))
+    def test_deterministic(self, small_tree):
+        p1, t1 = run_hofs(small_tree, 5, HofsConfig())
+        p2, t2 = run_hofs(small_tree, 5, HofsConfig())
         assert p1.selection_order == p2.selection_order
         assert p1.feature_sets() == p2.feature_sets()
         for s1, s2 in zip(t1.steps, t2.steps):
@@ -257,6 +253,28 @@ class TestRunHofs:
         with pytest.raises(FloatingPointError,
                            match=r"subset 0 term .* at step 2"):
             run_hofs(small_tree, 2, HofsConfig())
+
+
+class TestInvariance:
+    @pytest.mark.parametrize("make, T", [
+        (lambda: gen_tree(TreeModelSpec(n_samples=5000, seed=1)), 9),
+        (lambda: gen_hetero(HeteroModelSpec(seed=0)), 14),
+    ], ids=["tree-5k", "hetero"])
+    def test_sample_row_order(self, make, T):
+        table = make()
+        perm = np.random.default_rng(0).permutation(table.n_samples)
+        shuffled = DataTable(columns=[c[perm] for c in table.columns],
+                             feature_names=list(table.feature_names),
+                             feature_kinds=list(table.feature_kinds),
+                             labels=table.labels[perm],
+                             label_values=list(table.label_values))
+        p1, _ = run_hofs(table, T, HofsConfig())
+        p2, _ = run_hofs(shuffled, T, HofsConfig())
+        assert p2.selection_order == p1.selection_order
+        assert [s.feature_ids for s in p2.subsets] == \
+            [s.feature_ids for s in p1.subsets]
+        for s1, s2 in zip(p1.subsets, p2.subsets):
+            assert abs(s2.mi_estimate - s1.mi_estimate) < 1e-9
 
 
 class TestAccumulate:
