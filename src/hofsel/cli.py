@@ -162,6 +162,8 @@ def select(data_path, label_column, method, n_select, bins, coverage, beta,
                     "total_mi": s.total_mi,
                     "candidate_scores": {names[f]: v for f, v
                                          in s.candidate_scores.items()},
+                    "score_parts": {names[f]: part for f, part
+                                    in s.score_parts.items()},
                 } for s in trace.steps],
             }
             _write_json(os.path.join(out, "trace.json"), trace_payload)
@@ -315,7 +317,7 @@ def diagnose(data_path, label_column, n_select, bins, coverage, out_dir):
         t = n_select if n_select is not None else table.n_features
         config = HofsConfig(C=coverage, bins=bins)
         partition, trace = run_hofs(table, t, config)
-        overall_pearson, per_pearson = partition_pearson(partition)
+        overall_pearson, per_pearson = partition_pearson(partition, table)
         balance, per_balance = r_balance(partition, table, config,
                                          per_subset=True)
         curve = information_gain_curve(trace)

@@ -1,15 +1,18 @@
 """Greedy feature selection over a partition of jointly modeled subsets.
 
-Selected features are grouped into subsets; each subset carries an
-incremental triangular unmixing model (see ica.py) whose joint entropy
-estimate upgrades that subset's mutual information with the label beyond
-what per-feature plug-in estimates can see.
+Selected features are grouped into subsets of correlated features. Each
+conditional term fits the label once: a least-squares reconstruction of
+the standardized label from the subset's columns and the candidate's
+column, whose binned values upgrade that subset's mutual information
+with the label beyond what per-feature plug-in estimates can see. The
+triangular unmixing models of ica.py are built only for diagnostics
+(partition_pearson).
 
 Per-subset accounting: a subset created from feature x starts at the
 plug-in estimate I(x:y). When feature x joins an existing subset S, the
 subset estimate becomes I(x:y) + term(S, x), where the conditional term
-telescopes the model-based entropies so that the subset total equals
-H(y) minus the model's conditional entropy of the label. Candidate
+telescopes the entropies so that the subset total equals H(y) minus the
+conditional entropy of the label given the reconstruction. Candidate
 ranking adds, on top of each candidate's own relevance, only the part
 of each conditional term that exceeds the subset's current estimate,
 clamped at zero. That surplus is exactly the modeled synergy: redundant
@@ -23,41 +26,38 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import _discretize_column, discretize, standardize_column
-from .ica import IcaModel, append_feature, avg_pearson, empty_model, \
-    logistic_scale
+from .ica import avg_pearson, fit_batch, logistic_scale, signal_entropy
 from .infotheory import entropy, joint_entropy, mutual_information
-
-LABEL_FEATURE_ID = 1 << 20
 
 
 class HofsError(ValueError):
     pass
 
 
-def label_conditional_entropy(model_with_label, labels, bins):
-    """Conditional label entropy from a model whose last row is the label.
+def label_conditional_entropy(columns, label_std, labels, bins):
+    """Conditional label entropy given a linear reconstruction of the label.
 
-    The last unmixing row encodes a linear reconstruction of the label
-    from the subset columns. When that reconstruction varies, the
-    estimate is the plug-in conditional entropy of the class codes given
-    the binned reconstruction, which keeps every entropy in the score on
-    one discrete scale. When the reconstruction is numerically constant
-    the linear fit carries no information, and the estimate falls back
-    to the label signal's histogram entropy minus the log diagonal and
-    minus the log of its logistic scale, solved here and only here by
-    logistic_scale; a residual more concentrated than its spread implies
-    (as in parity interactions) still lowers that fallback below the
-    marginal entropy.
+    One least-squares fit of the standardized label on the stacked
+    columns gives the reconstruction. When it varies, the estimate is
+    the plug-in conditional entropy of the class codes given the binned
+    reconstruction, which keeps every entropy in the score on one
+    discrete scale. When the reconstruction is numerically constant the
+    linear fit carries no information, and the estimate falls back to
+    the histogram entropy of the unit-variance residual plus the log of
+    its spread, minus the log of its logistic scale (solved here and only
+    here by logistic_scale); a residual more concentrated than its
+    spread implies (as in parity interactions) still lowers that
+    fallback below the marginal entropy.
     """
-    w_last = model_with_label.W[-1]
-    recon = np.zeros(model_with_label.n_samples)
-    if w_last.shape[0] > 1:
-        beta = -w_last[:-1] / w_last[-1]
-        recon = np.column_stack(model_with_label.columns[:-1]) @ beta
+    X = np.column_stack(columns)
+    beta, _, _, _ = np.linalg.lstsq(X, label_std, rcond=None)
+    recon = X @ beta
     if float(recon.var()) < 1e-12:
-        return (model_with_label.signal_entropies[-1]
-                - math.log(abs(w_last[-1]))
-                - math.log(logistic_scale(model_with_label.S[-1])))
+        resid = label_std - recon
+        sd = math.sqrt(float(resid.var()))
+        s = resid / sd
+        return (signal_entropy(s, bins) + math.log(sd)
+                - math.log(logistic_scale(s)))
     codes, _ = _discretize_column(recon, "continuous", bins,
                                   "equal_frequency")
     return joint_entropy([codes, labels]) - entropy(codes)
@@ -79,7 +79,6 @@ class HofsConfig:
 @dataclass
 class Subset:
     feature_ids: list
-    model: IcaModel
     mi_estimate: float
 
 
@@ -118,26 +117,24 @@ class SelectionTrace:
     config: dict = field(default_factory=dict)
 
 
+def _standardized(col):
+    """Zero-mean, unit-variance copy of a column; zeros for a constant one."""
+    if float(np.std(col)) <= 1e-12:
+        return np.zeros(len(col))
+    return standardize_column(col)
+
+
 class _EngineState:
     """Per-run caches: discretized view, standardized columns, relevances,
     the signed correlation matrix, and memoized conditional terms."""
 
     def __init__(self, data, config):
-        self.data = data
         self.config = config
         self.view = discretize(data, bins=config.bins)
         self.labels = data.labels
         m = data.n_features
-        self.icacols = []
-        self.constant = []
-        for col in data.columns:
-            sd = float(np.std(col))
-            if sd <= 1e-12:
-                self.icacols.append(np.zeros(len(col)))
-                self.constant.append(True)
-            else:
-                self.icacols.append(standardize_column(col))
-                self.constant.append(False)
+        self.stdcols = [_standardized(col) for col in data.columns]
+        self.constant = [not col.any() for col in self.stdcols]
         self.label_constant = len(np.unique(data.labels)) < 2
         if self.label_constant:
             self.label_std = np.zeros(data.n_samples)
@@ -153,22 +150,12 @@ class _EngineState:
         self.corr = np.nan_to_num(corr, nan=0.0)
         self.term_cache = {}
 
-    def singleton_model(self, fid):
-        if self.constant[fid]:
-            n = self.data.n_samples
-            return IcaModel(feature_ids=(fid,), W=np.array([[1.0]]),
-                            S=[np.zeros(n)], signal_entropies=[0.0],
-                            columns=[np.zeros(n)],
-                            fit_meta={"rows": [{"degenerate": True}]})
-        return append_feature(empty_model(), self.icacols[fid],
-                              self.config.bins, feature_id=fid)
-
     def conditional_term(self, subset, candidate):
-        """Model-based estimate of I(S:y | x) for candidate x and subset S.
+        """Estimate of I(S:y | x) for candidate x and subset S.
 
-        Computed as -H(x) + H(x,y) - Hm from two scratch appends (the
-        candidate column, then the standardized label), where Hm is the
-        model's conditional entropy of the label given S and x, so
+        Computed as -H(x) + H(x,y) - Hm, where Hm is the conditional
+        entropy of the label given its least-squares reconstruction from
+        the columns of S and x (label_conditional_entropy), so
         relevance(x) + term telescopes to H(y) - Hm. A constant
         candidate or constant label contributes nothing and scores zero
         by convention.
@@ -179,24 +166,20 @@ class _EngineState:
         if self.constant[candidate] or self.label_constant:
             self.term_cache[key] = 0.0
             return 0.0
-        bins = self.config.bins
-        m1 = append_feature(subset.model, self.icacols[candidate], bins,
-                            feature_id=candidate)
-        m2 = append_feature(m1, self.label_std, bins,
-                            feature_id=LABEL_FEATURE_ID)
         h_x = entropy(self.view.codes[candidate])
         h_xy = joint_entropy([self.view.codes[candidate], self.labels])
-        cond_h = label_conditional_entropy(m2, self.labels, bins)
+        cond_h = label_conditional_entropy(
+            [self.stdcols[f] for f in [*subset.feature_ids, candidate]],
+            self.label_std, self.labels, self.config.bins)
         term = -h_x + h_xy - cond_h
         self.term_cache[key] = term
         return term
 
     def commit(self, partition, fid):
-        """Place fid into the partition, updating models and estimates."""
+        """Place fid into the partition, updating the subset estimates."""
         idx, maxcov = assign_subset(fid, partition, self.corr, self.config.C)
         if idx is None:
-            sub = Subset(feature_ids=[fid], model=self.singleton_model(fid),
-                         mi_estimate=float(self.rel[fid]))
+            sub = Subset(feature_ids=[fid], mi_estimate=float(self.rel[fid]))
             partition.subsets.append(sub)
             gain = sub.mi_estimate
             created = True
@@ -204,15 +187,9 @@ class _EngineState:
         else:
             sub = partition.subsets[idx]
             term = self.conditional_term(sub, fid)
-            if self.constant[fid]:
-                model = sub.model
-            else:
-                model = append_feature(sub.model, self.icacols[fid],
-                                       self.config.bins, feature_id=fid)
             new_mi = float(self.rel[fid]) + term
             gain = new_mi - sub.mi_estimate
             sub.feature_ids = list(sub.feature_ids) + [fid]
-            sub.model = model
             sub.mi_estimate = new_mi
             created = False
         partition.selection_order.append(fid)
@@ -238,12 +215,6 @@ def assign_subset(candidate, partition, corr, C):
     if maxcov > C:
         return best, maxcov
     return None, maxcov
-
-
-def subset_conditional_score(subset, candidate, data, config=None):
-    """Standalone conditional term for one subset and one candidate."""
-    state = _EngineState(data, config if config is not None else HofsConfig())
-    return state.conditional_term(subset, candidate)
 
 
 def hofs_score(candidate, partition, data, config=None, state=None):
@@ -341,12 +312,12 @@ def accumulate_partition(data, feature_order, config=None):
 
 
 def r_balance(partition, data, config=None, per_subset=False):
-    """Ratio of discrete to model-based conditional label entropy.
+    """Ratio of discrete to reconstruction-based conditional label entropy.
 
     For each subset X the numerator is the plug-in H(y|X) on discretized
-    codes and the denominator is the model's conditional label entropy
-    from a scratch label append. Subsets with near-zero denominators are
-    excluded with a warning. Returns the mean ratio, optionally with the
+    codes and the denominator is label_conditional_entropy on the
+    subset's columns. Subsets with near-zero denominators are excluded
+    with a warning. Returns the mean ratio, optionally with the
     per-subset values (None where excluded)."""
     if config is None:
         config = HofsConfig()
@@ -363,9 +334,9 @@ def r_balance(partition, data, config=None, per_subset=False):
     for sub in partition.subsets:
         cols = [view.codes[f] for f in sub.feature_ids]
         num = joint_entropy(cols + [labels]) - joint_entropy(cols)
-        m2 = append_feature(sub.model, label_std, config.bins,
-                            feature_id=LABEL_FEATURE_ID)
-        den = label_conditional_entropy(m2, labels, config.bins)
+        den = label_conditional_entropy(
+            [_standardized(data.columns[f]) for f in sub.feature_ids],
+            label_std, labels, config.bins)
         if abs(den) < 1e-9:
             warnings.warn("subset %r excluded from balance ratio: "
                           "near-zero conditional entropy" %
@@ -381,16 +352,23 @@ def r_balance(partition, data, config=None, per_subset=False):
     return mean
 
 
-def partition_pearson(partition):
+def partition_pearson(partition, data):
     """Mean absolute pairwise signal correlation, per subset and overall.
 
+    Each subset with two or more features gets its triangular unmixing
+    model fitted here, on its standardized columns in member order.
     Singleton subsets have no pairs; they report 0.0 and are excluded
     from the overall mean."""
+    # fit_batch's bins feed only the signal entropies, which avg_pearson
+    # never reads, so any value gives the same correlations.
+    bins = HofsConfig().bins
     per = []
     vals = []
     for sub in partition.subsets:
-        if sub.model.dim >= 2:
-            v = avg_pearson(sub.model)
+        if len(sub.feature_ids) >= 2:
+            model = fit_batch([standardize_column(data.columns[f])
+                               for f in sub.feature_ids], bins)
+            v = avg_pearson(model)
             per.append(v)
             vals.append(v)
         else:

@@ -224,21 +224,3 @@ def avg_pearson(model):
             count += 1
     return total / count
 
-
-def infomax_loglik(W, X):
-    """Mean log-likelihood of unrestricted unmixing W on samples X (N, d)."""
-    S = X @ W.T
-    a = np.abs(S)
-    per_sample = -(a + 2.0 * np.log1p(np.exp(-a))).sum(axis=1)
-    sign, logdet = np.linalg.slogdet(W)
-    if sign == 0:
-        return -np.inf
-    return float(per_sample.mean() + logdet)
-
-
-def infomax_grad(W, X):
-    """Analytic gradient of infomax_loglik in W: (1/N)(1-2g(S))^T X + W^-T."""
-    n = X.shape[0]
-    S = X @ W.T
-    T = -np.tanh(0.5 * S)
-    return T.T @ X / n + np.linalg.inv(W).T

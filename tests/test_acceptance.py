@@ -28,8 +28,6 @@ from hofsel.ica import (
     avg_pearson,
     empty_model,
     fit_batch,
-    infomax_grad,
-    infomax_loglik,
     joint_entropy_estimate,
 )
 from hofsel.infotheory import (
@@ -200,22 +198,6 @@ def test_oracle_equivalence():
 
 
 def test_unmixing_validity():
-    # analytic gradient against central finite differences
-    rng = np.random.default_rng(7)
-    X = rng.laplace(size=(400, 3))
-    W = np.eye(3) + 0.1 * rng.normal(size=(3, 3))
-    grad = infomax_grad(W, X)
-    eps = 1e-6
-    grad_rel = 0.0
-    for i in range(3):
-        for j in range(3):
-            Wp, Wm = W.copy(), W.copy()
-            Wp[i, j] += eps
-            Wm[i, j] -= eps
-            fd = (infomax_loglik(Wp, X) - infomax_loglik(Wm, X)) / (2 * eps)
-            denom = max(abs(fd), abs(grad[i, j]), 1e-8)
-            grad_rel = max(grad_rel, abs(grad[i, j] - fd) / denom)
-
     # two-source unmixing
     rng = np.random.default_rng(11)
     sources = rng.uniform(-1.0, 1.0, size=(4000, 2))
@@ -254,12 +236,11 @@ def test_unmixing_validity():
         shape_ok = shape_ok and upper and abs(det - diag) <= \
             1e-9 * max(abs(diag), 1e-12)
 
-    ok = (grad_rel < 1e-4 and pearson < 0.1 and ent_rel <= 0.10
-          and shape_ok)
+    ok = pearson < 0.1 and ent_rel <= 0.10 and shape_ok
     verdict("unmixing-validity", ok,
-            "gradient rel err %.1e < 1e-4, two-source pearson %.1e < 0.1, "
-            "joint entropy rel err %.4f <= 0.10, triangular+det identity %s"
-            % (grad_rel, pearson, ent_rel, shape_ok))
+            "two-source pearson %.1e < 0.1, joint entropy rel err %.4f "
+            "<= 0.10, triangular+det identity %s"
+            % (pearson, ent_rel, shape_ok))
 
 
 def test_partition_diagnostics(tree_data, tree_run, hetero_data,
@@ -268,7 +249,7 @@ def test_partition_diagnostics(tree_data, tree_run, hetero_data,
     for name, (table, run) in (("tree", (tree_data[0], tree_run)),
                                ("hetero", (hetero_data, hetero_run))):
         partition = run[0]
-        pearson, _ = partition_pearson(partition)
+        pearson, _ = partition_pearson(partition, table)
         balance = r_balance(partition, table, HofsConfig())
         results[name] = (pearson, balance)
     ok = all(p < 0.15 and 0.85 <= b <= 1.15

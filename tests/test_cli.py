@@ -88,6 +88,7 @@ class TestSelectCommand:
         assert len(trace["steps"]) == 4
         for step in trace["steps"]:
             assert set(step) >= {"chosen", "gain", "maxcov", "total_mi"}
+            assert set(step["score_parts"]) == set(step["candidate_scores"])
 
     def test_baseline_method_writes_scores(self, runner, tree_csv, tmp_path):
         out_dir = tmp_path / "out"

@@ -1,9 +1,10 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from hofsel.data import DataTable
+from hofsel.data import DataTable, _discretize_column
 from hofsel.hofs import (
     HofsConfig,
     HofsError,
@@ -11,12 +12,13 @@ from hofsel.hofs import (
     accumulate_partition,
     assign_subset,
     hofs_score,
+    label_conditional_entropy,
     partition_pearson,
     r_balance,
     run_hofs,
-    subset_conditional_score,
 )
-from hofsel.infotheory import mutual_information
+from hofsel.ica import append_feature, fit_batch, logistic_scale
+from hofsel.infotheory import entropy, joint_entropy, mutual_information
 from hofsel.synth import HeteroModelSpec, TreeModelSpec, gen_hetero, \
     gen_tree
 
@@ -62,8 +64,8 @@ class TestConditionalTerm:
         table = copy_pair_table()
         config = HofsConfig()
         partition = accumulate_partition(table, [0], config)
-        score = subset_conditional_score(partition.subsets[0], 1, table,
-                                         config)
+        score = _EngineState(table, config).conditional_term(
+            partition.subsets[0], 1)
         # the reconstruction is a monotone transform of the shared column,
         # so the two conditional entropies cancel term for term
         assert abs(score) <= 0.05
@@ -73,8 +75,8 @@ class TestConditionalTerm:
         config = HofsConfig()
         partition = accumulate_partition(table, [0], config)
         table.labels[:] = 0
-        score = subset_conditional_score(partition.subsets[0], 1, table,
-                                         config)
+        score = _EngineState(table, config).conditional_term(
+            partition.subsets[0], 1)
         assert abs(score) <= 1e-6
 
     def test_constant_candidate_scores_zero(self):
@@ -82,8 +84,8 @@ class TestConditionalTerm:
         table.columns[1] = np.zeros(table.n_samples)
         config = HofsConfig()
         partition = accumulate_partition(table, [0], config)
-        score = subset_conditional_score(partition.subsets[0], 1, table,
-                                         config)
+        score = _EngineState(table, config).conditional_term(
+            partition.subsets[0], 1)
         assert score == 0.0
 
     def test_unrelated_feature_keeps_more_subset_information(self, small_tree):
@@ -91,13 +93,11 @@ class TestConditionalTerm:
         # about the label; conditioning on the unrelated x8 must not
         config = HofsConfig()
         partition = accumulate_partition(small_tree, [0], config)
-        t_child = subset_conditional_score(partition.subsets[0], 3,
-                                           small_tree, config)
-        t_far = subset_conditional_score(partition.subsets[0], 7,
-                                         small_tree, config)
+        state = _EngineState(small_tree, config)
+        t_child = state.conditional_term(partition.subsets[0], 3)
+        t_far = state.conditional_term(partition.subsets[0], 7)
         assert t_far > t_child
-        rel_x1 = mutual_information(
-            _EngineState(small_tree, config).view.codes[0], small_tree.labels)
+        rel_x1 = mutual_information(state.view.codes[0], small_tree.labels)
         assert 0.0 < t_child < rel_x1
         assert t_far == pytest.approx(rel_x1, abs=0.03)
 
@@ -127,8 +127,8 @@ class TestHofsScore:
         for cand in (1, 3, 7):
             whole = hofs_score(cand, partition, small_tree, config,
                                state=state)
-            term = subset_conditional_score(partition.subsets[0], cand,
-                                            small_tree, config)
+            term = _EngineState(small_tree, config).conditional_term(
+                partition.subsets[0], cand)
             rel = float(state.rel[cand])
             assert whole == pytest.approx(rel + term, abs=1e-9)
 
@@ -326,7 +326,7 @@ class TestDiagnostics:
     def test_partition_pearson_shapes(self, small_tree):
         config = HofsConfig()
         partition, _ = run_hofs(small_tree, 9, config)
-        overall, per = partition_pearson(partition)
+        overall, per = partition_pearson(partition, small_tree)
         assert len(per) == partition.n_subsets
         for sub, value in zip(partition.subsets, per):
             if len(sub.feature_ids) == 1:
@@ -334,3 +334,62 @@ class TestDiagnostics:
             else:
                 assert 0.0 <= value < 1.0
         assert 0.0 <= overall < 1.0
+
+
+def unmixing_route_entropy(model, candidate_col, label_std, labels, bins):
+    """Conditional label entropy read off a triangular unmixing model.
+
+    Appends the candidate, then the standardized label, and inverts the
+    label row: beta = -W[-1, :-1] / W[-1, -1] reconstructs the label from
+    the stacked columns. Returns (entropy, whether the fallback ran).
+    """
+    m1 = append_feature(model, candidate_col, bins)
+    m2 = append_feature(m1, label_std, bins)
+    w_last = m2.W[-1]
+    beta = -w_last[:-1] / w_last[-1]
+    recon = np.column_stack(m2.columns[:-1]) @ beta
+    if float(recon.var()) < 1e-12:
+        return (m2.signal_entropies[-1] - math.log(abs(w_last[-1]))
+                - math.log(logistic_scale(m2.S[-1]))), True
+    codes, _ = _discretize_column(recon, "continuous", bins,
+                                  "equal_frequency")
+    return joint_entropy([codes, labels]) - entropy(codes), False
+
+
+class TestLabelFit:
+    @pytest.mark.parametrize("make, T, min_fallbacks", [
+        (lambda: gen_tree(TreeModelSpec(n_samples=5000, seed=1)), 9, 0),
+        (lambda: gen_hetero(HeteroModelSpec(seed=0)), 14, 1),
+        (xnor_table, 2, 1),
+    ], ids=["tree-5k", "hetero", "xnor"])
+    def test_one_solve_matches_unmixing_route(self, make, T, min_fallbacks):
+        # every prefix of every selected subset, against every other
+        # non-constant feature, covers hetero's degenerate {F1, F6, F2}
+        # row and xnor's constant reconstruction
+        table = make()
+        config = HofsConfig()
+        state = _EngineState(table, config)
+        partition, _ = run_hofs(table, T, config)
+        compared = 0
+        fallbacks = 0
+        for sub in partition.subsets:
+            for k in range(1, len(sub.feature_ids) + 1):
+                prefix = sub.feature_ids[:k]
+                if any(state.constant[f] for f in prefix):
+                    continue
+                model = fit_batch([state.stdcols[f] for f in prefix],
+                                  config.bins)
+                for cand in range(table.n_features):
+                    if cand in prefix or state.constant[cand]:
+                        continue
+                    ref, fell_back = unmixing_route_entropy(
+                        model, state.stdcols[cand], state.label_std,
+                        state.labels, config.bins)
+                    got = label_conditional_entropy(
+                        [state.stdcols[f] for f in prefix + [cand]],
+                        state.label_std, state.labels, config.bins)
+                    assert abs(got - ref) <= 1e-12
+                    compared += 1
+                    fallbacks += fell_back
+        assert compared > 0
+        assert fallbacks >= min_fallbacks

@@ -10,8 +10,6 @@ from hofsel.ica import (
     avg_pearson,
     empty_model,
     fit_batch,
-    infomax_grad,
-    infomax_loglik,
     joint_entropy_estimate,
     logistic_scale,
     signal_entropy,
@@ -199,29 +197,3 @@ class TestUnmixing:
                                bins, feature_id=0)
         assert avg_pearson(model) == 0.0
 
-
-class TestInfomaxObjective:
-    def test_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(7)
-        X = rng.laplace(size=(400, 3))
-        W = np.eye(3) + 0.1 * rng.normal(size=(3, 3))
-        grad = infomax_grad(W, X)
-        eps = 1e-6
-        for i in range(3):
-            for j in range(3):
-                Wp = W.copy()
-                Wm = W.copy()
-                Wp[i, j] += eps
-                Wm[i, j] -= eps
-                fd = (infomax_loglik(Wp, X) - infomax_loglik(Wm, X)) / (2 * eps)
-                denom = max(abs(fd), abs(grad[i, j]), 1e-8)
-                assert abs(grad[i, j] - fd) / denom < 1e-4
-
-    def test_loglik_increases_along_gradient(self):
-        rng = np.random.default_rng(13)
-        X = rng.laplace(size=(300, 2))
-        W = np.eye(2)
-        g = infomax_grad(W, X)
-        before = infomax_loglik(W, X)
-        after = infomax_loglik(W + 1e-4 * g, X)
-        assert after > before
