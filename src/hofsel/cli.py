@@ -20,9 +20,8 @@ from .criteria import Criterion, CriterionError, select_greedy
 from .data import DataError, discretize, load_csv, write_csv
 from .eval import EvalError, cross_validate, default_k_values, \
     information_gain_curve
-from .hofs import HofsConfig, HofsError, partition_pearson, r_balance, \
-    run_hofs
-from .ica import IcaError
+from .hofs import HofsConfig, HofsError, partition_correlation, \
+    r_balance, run_hofs
 from .infotheory import EstimatorError
 from .synth import HeteroModelSpec, TreeModelSpec, gen_hetero, gen_tree
 
@@ -86,7 +85,7 @@ def _guarded(fn):
         fn()
     except (DataError,) as exc:
         _fail(3, str(exc))
-    except (IcaError, EstimatorError, np.linalg.LinAlgError,
+    except (EstimatorError, np.linalg.LinAlgError,
             FloatingPointError) as exc:
         _fail(4, str(exc))
     except (HofsError, CriterionError, EvalError, ValueError) as exc:
@@ -317,7 +316,7 @@ def diagnose(data_path, label_column, n_select, bins, coverage, out_dir):
         t = n_select if n_select is not None else table.n_features
         config = HofsConfig(C=coverage, bins=bins)
         partition, trace = run_hofs(table, t, config)
-        overall_pearson, per_pearson = partition_pearson(partition, table)
+        max_between, per_corr = partition_correlation(partition, table)
         balance, per_balance = r_balance(partition, table, config,
                                          per_subset=True)
         curve = information_gain_curve(trace)
@@ -327,17 +326,19 @@ def diagnose(data_path, label_column, n_select, bins, coverage, out_dir):
             "subsets": [{
                 "features": [names[f] for f in sub.feature_ids],
                 "mi_estimate": sub.mi_estimate,
-                "avg_pearson": per_pearson[i],
+                "mean_corr": per_corr[i],
                 "balance_ratio": per_balance[i],
             } for i, sub in enumerate(partition.subsets)],
-            "avg_pearson": overall_pearson,
+            "max_between_corr": max_between,
             "avg_balance_ratio": balance,
             "gain_curve": curve,
             "total_mi": partition.total_mi(),
         }
         out = _resolve_out_dir(out_dir)
         _write_json(os.path.join(out, "diagnostics.json"), payload)
-        click.echo("avg pearson: %.4f" % (overall_pearson,))
+        click.echo("max between-subset correlation: %s" %
+                   ("n/a" if max_between is None else
+                    "%.4f" % (max_between,)))
         click.echo("avg balance ratio: %.4f" % (balance,))
         click.echo("wrote %s" % (os.path.join(out, "diagnostics.json"),))
 

@@ -1,6 +1,6 @@
 """Dataset ingestion, standardization, and discretization.
 
-Everything downstream (plug-in estimators, ICA fits, the selection engine)
+Everything downstream (plug-in estimators, label fits, the selection engine)
 works off the two containers defined here: DataTable holds numeric columns
 plus integer class labels, DiscretizedView holds the integer-coded columns
 that the entropy estimators consume.
@@ -91,7 +91,6 @@ class DiscretizedView:
     bin_edges: list
     bin_count: int
     n_levels: list
-    source: DataTable = None
 
 
 def _is_categorical(values):
@@ -337,4 +336,4 @@ def discretize(table, bins=5, scheme="equal_frequency"):
         edges.append(e)
         levels.append(int(c.max()) + 1 if c.size else 0)
     return DiscretizedView(codes=codes, bin_edges=edges, bin_count=bins,
-                           n_levels=levels, source=table)
+                           n_levels=levels)

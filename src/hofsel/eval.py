@@ -169,34 +169,20 @@ def arae(values):
 PLUGIN_MAX_FEATURES = 16
 
 
-def global_mi(view, features, labels, method="plugin", data=None,
-              config=None):
+def global_mi(view, features, labels):
     """Mutual information between a whole feature set and the label.
 
-    method="plugin" joins the discretized codes into one variable
-    (capped at PLUGIN_MAX_FEATURES columns to keep the joint support
-    honest). method="ica_partition" replays the subset assignment over
-    the given order and sums the per-subset model estimates; it needs
-    the raw data table."""
+    Joins the discretized codes into one variable, capped at
+    PLUGIN_MAX_FEATURES columns to keep the joint support honest."""
     features = list(features)
     if not features:
         raise EvalError("no features given")
-    if method == "plugin":
-        if len(features) > PLUGIN_MAX_FEATURES:
-            raise EstimatorError(
-                "plugin estimate refused for %d features (cap %d)" %
-                (len(features), PLUGIN_MAX_FEATURES))
-        cols = [view.codes[f] for f in features]
-        return mutual_information(cols, labels)
-    if method == "ica_partition":
-        from .hofs import accumulate_partition
-        if data is None:
-            data = view.source
-        if data is None:
-            raise EvalError("ica_partition needs the raw data table")
-        partition = accumulate_partition(data, features, config)
-        return partition.total_mi()
-    raise EvalError("unknown method %r" % (method,))
+    if len(features) > PLUGIN_MAX_FEATURES:
+        raise EstimatorError(
+            "plugin estimate refused for %d features (cap %d)" %
+            (len(features), PLUGIN_MAX_FEATURES))
+    cols = [view.codes[f] for f in features]
+    return mutual_information(cols, labels)
 
 
 def information_gain_curve(trace):

@@ -5,8 +5,8 @@ conditional term fits the label once: a least-squares reconstruction of
 the standardized label from the subset's columns and the candidate's
 column, whose binned values upgrade that subset's mutual information
 with the label beyond what per-feature plug-in estimates can see. The
-triangular unmixing models of ica.py are built only for diagnostics
-(partition_pearson).
+diagnostics read the same label fit (r_balance) and the same feature
+correlation matrix that assigns subsets (partition_correlation).
 
 Per-subset accounting: a subset created from feature x starts at the
 plug-in estimate I(x:y). When feature x joins an existing subset S, the
@@ -26,12 +26,61 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import _discretize_column, discretize, standardize_column
-from .ica import avg_pearson, fit_batch, logistic_scale, signal_entropy
 from .infotheory import entropy, joint_entropy, mutual_information
+
+
+SCALE_MAX_STEPS = 100
 
 
 class HofsError(ValueError):
     pass
+
+
+def signal_entropy(s, bins):
+    """Plug-in code entropy of an equal-width histogram of the signal.
+
+    A signal with range below 1e-12 counts as constant and has entropy 0.
+    """
+    lo = float(s.min())
+    hi = float(s.max())
+    if hi - lo < 1e-12:
+        return 0.0
+    counts, _ = np.histogram(s, bins=bins, range=(lo, hi))
+    counts = counts[counts > 0]
+    n = counts.sum()
+    return float(np.log(n) - (counts * np.log(counts)).sum() / n)
+
+
+def logistic_scale(signal):
+    """Maximum-likelihood scale of a signal under the logistic prior.
+
+    Maximizes f(w) = mean(log g'(w r)) + log w over w > 0, with g the
+    logistic cdf and r the signal, by full-batch Newton steps from w = 1
+    on the gradient 1/w - mean(r tanh(w r / 2)) and the curvature
+    -1/w^2 - mean(r^2 sech^2(w r / 2)) / 2. f is strictly concave for
+    w > 0, so the maximum is unique; a step that would reach w <= 0
+    halves w instead. Stops when w changes by at most 1e-12 of itself.
+    Raises FloatingPointError for a signal with zero (or non-finite)
+    variance, which has no finite scale, and for a solve still moving
+    after SCALE_MAX_STEPS steps.
+    """
+    r = np.asarray(signal, dtype=np.float64)
+    if not float(r.var()) > 1e-12:
+        raise FloatingPointError("signal has zero variance: no logistic "
+                                 "scale")
+    w = 1.0
+    for _ in range(SCALE_MAX_STEPS):
+        t = np.tanh(0.5 * w * r)
+        grad = 1.0 / w - float(np.mean(r * t))
+        curv = -1.0 / (w * w) - 0.5 * float(np.mean(r * r * (1.0 - t * t)))
+        w_new = w - grad / curv
+        if not w_new > 0.0:
+            w_new = 0.5 * w
+        if abs(w_new - w) <= 1e-12 * w:
+            return w_new
+        w = w_new
+    raise FloatingPointError("logistic scale did not converge in %d Newton "
+                             "steps" % SCALE_MAX_STEPS)
 
 
 def label_conditional_entropy(columns, label_std, labels, bins):
@@ -124,6 +173,18 @@ def _standardized(col):
     return standardize_column(col)
 
 
+def correlation_matrix(data):
+    """Signed Pearson correlations between the feature columns.
+
+    A constant column has no defined correlation; its row and column
+    read 0, so it never exceeds a coverage threshold C >= 0.
+    """
+    with np.errstate(invalid="ignore", divide="ignore"):
+        corr = np.corrcoef(np.vstack([np.asarray(c, dtype=np.float64)
+                                      for c in data.columns]))
+    return np.nan_to_num(np.atleast_2d(corr), nan=0.0)
+
+
 class _EngineState:
     """Per-run caches: discretized view, standardized columns, relevances,
     the signed correlation matrix, and memoized conditional terms."""
@@ -143,11 +204,7 @@ class _EngineState:
         self.rel = np.array([
             mutual_information(self.view.codes[j], self.labels)
             for j in range(m)])
-        with np.errstate(invalid="ignore", divide="ignore"):
-            corr = np.corrcoef(np.vstack([np.asarray(c, dtype=np.float64)
-                                          for c in data.columns]))
-        corr = np.atleast_2d(corr)
-        self.corr = np.nan_to_num(corr, nan=0.0)
+        self.corr = correlation_matrix(data)
         self.term_cache = {}
 
     def conditional_term(self, subset, candidate):
@@ -352,26 +409,26 @@ def r_balance(partition, data, config=None, per_subset=False):
     return mean
 
 
-def partition_pearson(partition, data):
-    """Mean absolute pairwise signal correlation, per subset and overall.
+def partition_correlation(partition, data):
+    """Correlation structure of a partition, read from correlation_matrix.
 
-    Each subset with two or more features gets its triangular unmixing
-    model fitted here, on its standardized columns in member order.
-    Singleton subsets have no pairs; they report 0.0 and are excluded
-    from the overall mean."""
-    # fit_batch's bins feed only the signal entropies, which avg_pearson
-    # never reads, so any value gives the same correlations.
-    bins = HofsConfig().bins
-    per = []
-    vals = []
+    Returns (max_between, per_subset). per_subset holds each subset's
+    signed mean pairwise correlation between its members, None for a
+    singleton; a subset built by assign_subset always reads above C,
+    since every member joined with a mean correlation above C to the
+    members before it. max_between is the largest signed mean
+    correlation between the members of two different subsets, None
+    when there are fewer than two subsets."""
+    corr = correlation_matrix(data)
+    per_subset = []
     for sub in partition.subsets:
-        if len(sub.feature_ids) >= 2:
-            model = fit_batch([standardize_column(data.columns[f])
-                               for f in sub.feature_ids], bins)
-            v = avg_pearson(model)
-            per.append(v)
-            vals.append(v)
-        else:
-            per.append(0.0)
-    overall = float(np.mean(vals)) if vals else 0.0
-    return overall, per
+        ids = list(sub.feature_ids)
+        if len(ids) < 2:
+            per_subset.append(None)
+            continue
+        block = corr[np.ix_(ids, ids)]
+        per_subset.append(float(block[np.triu_indices(len(ids), 1)].mean()))
+    between = [float(corr[np.ix_(a.feature_ids, b.feature_ids)].mean())
+               for i, a in enumerate(partition.subsets)
+               for b in partition.subsets[i + 1:]]
+    return (max(between) if between else None), per_subset

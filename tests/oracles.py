@@ -161,3 +161,28 @@ def ovr_logistic_error(X_train, y_train, X_test, y_test, n_classes,
     Zt = (X_test - mean) / std
     pred = np.argmax(Zt @ W.T + b, axis=1)
     return float(np.mean(pred != y_test) * 100.0)
+
+
+def triangular_unmixing(columns):
+    """Lower-triangular unmixing of standardized columns, one row per column.
+
+    Row j is the closed form for appending column j to the stack before
+    it: the negated least-squares coefficients of the column on its
+    predecessors, then 1, all divided by the residual's spread, so the
+    signal W[j] @ X is the unit-variance residual. A column with residual
+    variance below 1e-9 is degenerate: its row keeps the projection,
+    scaled by 1e-8 instead. Returns W (d, d) and the list of the d
+    signals.
+    """
+    X = np.column_stack(columns)
+    d = X.shape[1]
+    W = np.zeros((d, d))
+    W[0, 0] = 1.0
+    for j in range(1, d):
+        prev = X[:, :j]
+        beta = np.linalg.lstsq(prev, X[:, j], rcond=None)[0]
+        resid_var = float((X[:, j] - prev @ beta).var())
+        row = np.concatenate([-beta, [1.0]])
+        W[j, :j + 1] = (row * 1e-8 if resid_var < 1e-9
+                        else row / math.sqrt(resid_var))
+    return W, [X[:, :j + 1] @ W[j, :j + 1] for j in range(d)]

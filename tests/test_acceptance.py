@@ -17,18 +17,13 @@ from hofsel.data import DataTable, discretize
 from hofsel.eval import cross_validate, global_mi, information_gain_curve
 from hofsel.hofs import (
     HofsConfig,
+    Subset,
+    SubsetPartition,
     accumulate_partition,
     hofs_score,
-    partition_pearson,
+    partition_correlation,
     r_balance,
     run_hofs,
-)
-from hofsel.ica import (
-    append_feature,
-    avg_pearson,
-    empty_model,
-    fit_batch,
-    joint_entropy_estimate,
 )
 from hofsel.infotheory import (
     conditional_entropy,
@@ -197,67 +192,57 @@ def test_oracle_equivalence():
             % (worst, mismatches or "none"))
 
 
-def test_unmixing_validity():
-    # two-source unmixing
-    rng = np.random.default_rng(11)
-    sources = rng.uniform(-1.0, 1.0, size=(4000, 2))
-    mixed = sources @ np.array([[1.0, 0.0], [0.8, 1.0]]).T
-    cols = np.column_stack([(mixed[:, k] - mixed[:, k].mean())
-                            / mixed[:, k].std() for k in range(2)])
-    pearson = avg_pearson(fit_batch(cols, bins=5))
+def correlation_check(partition, table, C):
+    """(ok, lowest within-subset mean, max between) for a partition."""
+    max_between, per = partition_correlation(partition, table)
+    within = min(v for v in per if v is not None)
+    return within > C and max_between <= C, within, max_between
 
-    # joint entropy against brute force on small alphabets
-    ent_rel = 0.0
-    for seed, ks in ((0, (3, 2, 3)), (1, (2, 3, 2)), (2, (3, 3, 2))):
-        rng = np.random.default_rng(seed)
-        raw = [rng.integers(0, k, size=2000) for k in ks]
-        model = empty_model()
-        for j, col in enumerate(raw):
-            x = col.astype(np.float64)
-            model = append_feature(model, (x - x.mean()) / x.std(),
-                                   bins=5, feature_id=j)
-        brute = joint_entropy(raw)
-        ent_rel = max(ent_rel,
-                      abs(joint_entropy_estimate(model) - brute) / brute)
 
-    # triangularity and determinant identity after every append
-    rng = np.random.default_rng(0)
-    base = rng.normal(size=600)
-    model = empty_model()
-    shape_ok = True
-    for j in range(5):
-        raw = 0.6 * base + rng.normal(size=600)
-        model = append_feature(model, (raw - raw.mean()) / raw.std(),
-                               bins=5, feature_id=j)
-        W = model.W
-        upper = all(np.all(W[r, r + 1:] == 0.0) for r in range(j + 1))
-        det = np.linalg.det(W)
-        diag = float(np.prod(np.diag(W)))
-        shape_ok = shape_ok and upper and abs(det - diag) <= \
-            1e-9 * max(abs(diag), 1e-12)
-
-    ok = pearson < 0.1 and ent_rel <= 0.10 and shape_ok
-    verdict("unmixing-validity", ok,
-            "two-source pearson %.1e < 0.1, joint entropy rel err %.4f "
-            "<= 0.10, triangular+det identity %s"
-            % (pearson, ent_rel, shape_ok))
+def shuffled_partition(partition, seed):
+    """The same subset sizes, with the selected features dealt at random."""
+    ids = np.random.default_rng(seed).permutation(
+        [f for sub in partition.subsets for f in sub.feature_ids])
+    out = SubsetPartition()
+    start = 0
+    for sub in partition.subsets:
+        stop = start + len(sub.feature_ids)
+        out.subsets.append(Subset(feature_ids=ids[start:stop].tolist(),
+                                  mi_estimate=sub.mi_estimate))
+        start = stop
+    return out
 
 
 def test_partition_diagnostics(tree_data, tree_run, hetero_data,
                                hetero_run):
+    """Correlation structure and balance of the tree and hetero partitions.
+
+    Every multi-feature subset's mean member correlation must exceed C.
+    That holds by construction for any partition assign_subset built, as
+    each member joined with a mean correlation above C to the members
+    before it, so the check pins that invariant. No two subsets may
+    correlate above C on average. A shuffle of each partition with the
+    same subset sizes is the negative control and must fail the check.
+    """
+    C = HofsConfig().C
     results = {}
     for name, (table, run) in (("tree", (tree_data[0], tree_run)),
                                ("hetero", (hetero_data, hetero_run))):
         partition = run[0]
-        pearson, _ = partition_pearson(partition, table)
+        ok, within, between = correlation_check(partition, table, C)
+        control_ok, control_within, _ = correlation_check(
+            shuffled_partition(partition, seed=0), table, C)
         balance = r_balance(partition, table, HofsConfig())
-        results[name] = (pearson, balance)
-    ok = all(p < 0.15 and 0.85 <= b <= 1.15
-             for p, b in results.values())
+        results[name] = (ok and not control_ok and 0.85 <= balance <= 1.15,
+                         within, between, balance, control_within)
+    ok = all(r[0] for r in results.values())
     verdict("partition-diagnostics", ok,
-            "tree pearson %.4f balance %.4f, hetero pearson %.4f "
-            "balance %.4f (pearson < 0.15, balance in [0.85, 1.15])"
-            % (results["tree"] + results["hetero"]))
+            "tree min mean_corr %.4f max_between %.4f balance %.4f "
+            "shuffled min mean_corr %.4f, hetero min mean_corr %.4f "
+            "max_between %.4f balance %.4f shuffled min mean_corr %.4f "
+            "(mean_corr > C=%.2f >= max_between, balance in [0.85, 1.15], "
+            "shuffles fail)"
+            % (results["tree"][1:] + results["hetero"][1:] + (C,)))
 
 
 def test_information_gain_curve(tree_run):

@@ -174,13 +174,24 @@ class TestDiagnoseCommand:
                                       "-T", "4", "--out-dir", str(out_dir)])
         assert result.exit_code == 0, result.output
         payload = json.loads((out_dir / "diagnostics.json").read_text())
-        assert set(payload) >= {"subsets", "avg_pearson",
+        assert set(payload) >= {"subsets", "max_between_corr",
                                 "avg_balance_ratio", "gain_curve",
                                 "total_mi"}
         assert len(payload["gain_curve"]) == 4
         for sub in payload["subsets"]:
-            assert set(sub) >= {"features", "mi_estimate", "avg_pearson",
+            assert set(sub) >= {"features", "mi_estimate", "mean_corr",
                                 "balance_ratio"}
+            if len(sub["features"]) == 1:
+                assert sub["mean_corr"] is None
+            else:
+                assert sub["mean_corr"] > 0.5
+        between = payload["max_between_corr"]
+        if len(payload["subsets"]) > 1:
+            assert between <= 0.5
+            assert "max between-subset correlation: %.4f" % (between,) \
+                in result.output
+        else:
+            assert between is None
 
 
 class TestTopLevel:

@@ -206,21 +206,6 @@ class TestGlobalMi:
         with pytest.raises(EstimatorError):
             global_mi(view, list(range(17)), labels)
 
-    def test_partition_method_sums_subset_estimates(self):
-        tree = gen_tree(TreeModelSpec(n_samples=4000, seed=2))
-        config = HofsConfig()
-        partition, _ = run_hofs(tree, 4, config)
-        view = discretize(tree, bins=config.bins)
-        value = global_mi(view, partition.selection_order, tree.labels,
-                          method="ica_partition", data=tree, config=config)
-        assert value == pytest.approx(partition.total_mi(), abs=1e-9)
-
-    def test_unknown_method_rejected(self):
-        tree = gen_tree(TreeModelSpec(n_samples=500, seed=3))
-        view = discretize(tree)
-        with pytest.raises(EvalError):
-            global_mi(view, [0], tree.labels, method="magic")
-
 
 class TestGainCurve:
     def test_telescopes_to_final_total(self):

@@ -1,9 +1,12 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import oracles
+from hofsel import hofs
 from hofsel.data import DataTable, _discretize_column
 from hofsel.hofs import (
     HofsConfig,
@@ -13,11 +16,12 @@ from hofsel.hofs import (
     assign_subset,
     hofs_score,
     label_conditional_entropy,
-    partition_pearson,
+    logistic_scale,
+    partition_correlation,
     r_balance,
     run_hofs,
+    signal_entropy,
 )
-from hofsel.ica import append_feature, fit_batch, logistic_scale
 from hofsel.infotheory import entropy, joint_entropy, mutual_information
 from hofsel.synth import HeteroModelSpec, TreeModelSpec, gen_hetero, \
     gen_tree
@@ -255,26 +259,80 @@ class TestRunHofs:
             run_hofs(small_tree, 2, HofsConfig())
 
 
+def selection_by_name(table, T):
+    """Order, subsets as (member names, mi_estimate), and per-step
+    candidate scores of one run, all keyed by feature name."""
+    partition, trace = run_hofs(table, T, HofsConfig())
+    names = table.feature_names
+    return ([names[f] for f in partition.selection_order],
+            [([names[f] for f in s.feature_ids], s.mi_estimate)
+             for s in partition.subsets],
+            [{names[f]: v for f, v in step.candidate_scores.items()}
+             for step in trace.steps])
+
+
+def assert_same_selection(table, other, T, reindexed=False):
+    """The same partition and order by name, subset MI within 1e-9.
+
+    run_hofs breaks an exact score tie toward the lowest feature index,
+    so when the tables index the features differently (reindexed) the
+    tied features may be picked in swapped order: each step where the
+    picked sets differ must then be such a tie in both runs.
+    """
+    order, subsets, scores = selection_by_name(table, T)
+    other_order, other_subsets, other_scores = selection_by_name(other, T)
+    assert [f for f, _ in other_subsets] == [f for f, _ in subsets]
+    for (_, mi), (_, other_mi) in zip(subsets, other_subsets):
+        assert abs(other_mi - mi) < 1e-9
+    if not reindexed:
+        assert other_order == order
+        return
+    for t in range(T):
+        if set(order[:t + 1]) != set(other_order[:t + 1]):
+            a, b = order[t], other_order[t]
+            assert scores[t][a] == scores[t][b]
+            assert other_scores[t][a] == other_scores[t][b]
+
+
+TREE_AND_HETERO = pytest.mark.parametrize("make, T", [
+    (lambda: gen_tree(TreeModelSpec(n_samples=5000, seed=1)), 9),
+    (lambda: gen_hetero(HeteroModelSpec(seed=0)), 14),
+], ids=["tree-5k", "hetero"])
+
+
 class TestInvariance:
-    @pytest.mark.parametrize("make, T", [
-        (lambda: gen_tree(TreeModelSpec(n_samples=5000, seed=1)), 9),
-        (lambda: gen_hetero(HeteroModelSpec(seed=0)), 14),
-    ], ids=["tree-5k", "hetero"])
+    @TREE_AND_HETERO
     def test_sample_row_order(self, make, T):
         table = make()
         perm = np.random.default_rng(0).permutation(table.n_samples)
-        shuffled = DataTable(columns=[c[perm] for c in table.columns],
-                             feature_names=list(table.feature_names),
-                             feature_kinds=list(table.feature_kinds),
-                             labels=table.labels[perm],
-                             label_values=list(table.label_values))
-        p1, _ = run_hofs(table, T, HofsConfig())
-        p2, _ = run_hofs(shuffled, T, HofsConfig())
-        assert p2.selection_order == p1.selection_order
-        assert [s.feature_ids for s in p2.subsets] == \
-            [s.feature_ids for s in p1.subsets]
-        for s1, s2 in zip(p1.subsets, p2.subsets):
-            assert abs(s2.mi_estimate - s1.mi_estimate) < 1e-9
+        shuffled = replace(table, columns=[c[perm] for c in table.columns],
+                           labels=table.labels[perm])
+        assert_same_selection(table, shuffled, T)
+
+    @TREE_AND_HETERO
+    def test_feature_column_order(self, make, T):
+        table = make()
+        perm = np.random.default_rng(0).permutation(table.n_features)
+        permuted = replace(
+            table, columns=[table.columns[j] for j in perm],
+            feature_names=[table.feature_names[j] for j in perm],
+            feature_kinds=[table.feature_kinds[j] for j in perm])
+        # hetero's F2 and F3 tie exactly at step 5; this permutation puts
+        # F3 first, so the two picks swap
+        assert_same_selection(table, permuted, T, reindexed=True)
+
+    @TREE_AND_HETERO
+    def test_positive_rescaling_of_continuous_columns(self, make, T):
+        table = make()
+        rescaled = replace(table, columns=[
+            3.0 * col + 7.0 if kind == "continuous" else col
+            for col, kind in zip(table.columns, table.feature_kinds)])
+        assert_same_selection(table, rescaled, T)
+
+    def test_binary_label_swap(self, small_tree):
+        swapped = replace(small_tree, labels=1 - small_tree.labels,
+                          label_values=small_tree.label_values[::-1])
+        assert_same_selection(small_tree, swapped, 9)
 
 
 class TestAccumulate:
@@ -323,34 +381,47 @@ class TestDiagnostics:
         assert per == [None]
         assert len(caught) == 1
 
-    def test_partition_pearson_shapes(self, small_tree):
+    def test_partition_correlation_shapes(self, small_tree):
         config = HofsConfig()
         partition, _ = run_hofs(small_tree, 9, config)
-        overall, per = partition_pearson(partition, small_tree)
+        max_between, per = partition_correlation(partition, small_tree)
         assert len(per) == partition.n_subsets
         for sub, value in zip(partition.subsets, per):
             if len(sub.feature_ids) == 1:
-                assert value == 0.0
+                assert value is None
             else:
-                assert 0.0 <= value < 1.0
-        assert 0.0 <= overall < 1.0
+                assert config.C < value <= 1.0
+        assert -1.0 <= max_between <= config.C
+
+    def test_partition_correlation_reads_the_assignment_matrix(self):
+        table = copy_pair_table()
+        table.columns.append(np.zeros(table.n_samples))
+        table.feature_names.append("c")
+        table.feature_kinds.append("continuous")
+        partition = accumulate_partition(table, [0, 1, 2], HofsConfig())
+        max_between, per = partition_correlation(partition, table)
+        assert [s.feature_ids for s in partition.subsets] == [[0, 1], [2]]
+        assert per[0] == pytest.approx(1.0, abs=1e-12)
+        assert per[1] is None
+        # the constant column's correlation row reads 0, not NaN
+        assert max_between == 0.0
 
 
-def unmixing_route_entropy(model, candidate_col, label_std, labels, bins):
+def unmixing_route_entropy(columns, label_std, labels, bins):
     """Conditional label entropy read off a triangular unmixing model.
 
-    Appends the candidate, then the standardized label, and inverts the
-    label row: beta = -W[-1, :-1] / W[-1, -1] reconstructs the label from
-    the stacked columns. Returns (entropy, whether the fallback ran).
+    Stacks the columns and the standardized label, and inverts the label
+    row: beta = -W[-1, :-1] / W[-1, -1] reconstructs the label from the
+    columns. Returns (entropy, whether the fallback ran).
     """
-    m1 = append_feature(model, candidate_col, bins)
-    m2 = append_feature(m1, label_std, bins)
-    w_last = m2.W[-1]
+    W, signals = oracles.triangular_unmixing(list(columns) + [label_std])
+    w_last = W[-1]
     beta = -w_last[:-1] / w_last[-1]
-    recon = np.column_stack(m2.columns[:-1]) @ beta
+    recon = np.column_stack(columns) @ beta
     if float(recon.var()) < 1e-12:
-        return (m2.signal_entropies[-1] - math.log(abs(w_last[-1]))
-                - math.log(logistic_scale(m2.S[-1]))), True
+        return (signal_entropy(signals[-1], bins)
+                - math.log(abs(w_last[-1]))
+                - math.log(logistic_scale(signals[-1]))), True
     codes, _ = _discretize_column(recon, "continuous", bins,
                                   "equal_frequency")
     return joint_entropy([codes, labels]) - entropy(codes), False
@@ -377,19 +448,69 @@ class TestLabelFit:
                 prefix = sub.feature_ids[:k]
                 if any(state.constant[f] for f in prefix):
                     continue
-                model = fit_batch([state.stdcols[f] for f in prefix],
-                                  config.bins)
                 for cand in range(table.n_features):
                     if cand in prefix or state.constant[cand]:
                         continue
+                    columns = [state.stdcols[f] for f in prefix + [cand]]
                     ref, fell_back = unmixing_route_entropy(
-                        model, state.stdcols[cand], state.label_std,
-                        state.labels, config.bins)
+                        columns, state.label_std, state.labels, config.bins)
                     got = label_conditional_entropy(
-                        [state.stdcols[f] for f in prefix + [cand]],
-                        state.label_std, state.labels, config.bins)
+                        columns, state.label_std, state.labels, config.bins)
                     assert abs(got - ref) <= 1e-12
                     compared += 1
                     fallbacks += fell_back
         assert compared > 0
         assert fallbacks >= min_fallbacks
+
+
+def std(col):
+    return (col - col.mean()) / col.std()
+
+
+def scale_gradient(w, r):
+    """d/dw of mean(log g'(w r)) + log w, with g the logistic cdf."""
+    return 1.0 / w - float(np.mean(r * np.tanh(0.5 * w * r)))
+
+
+class TestLogisticScale:
+    def test_sign_residual_solves_w_tanh_half_w_is_one(self):
+        r = np.tile([-1.0, 1.0], 50)
+        w = logistic_scale(r)
+        assert w == pytest.approx(1.5434046, abs=1e-6)
+        # bisection on the same equation, independent of the Newton solve
+        lo, hi = 1.0, 2.0
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if mid * math.tanh(0.5 * mid) < 1.0 \
+                else (lo, mid)
+        assert abs(w - lo) < 1e-9
+
+    @pytest.mark.parametrize("draw", [
+        lambda rng, n: rng.normal(size=n),
+        lambda rng, n: rng.laplace(size=n),
+        lambda rng, n: (rng.random(n) < 0.01).astype(np.float64),
+    ], ids=["gaussian", "laplace", "binary-p0.01"])
+    def test_gradient_vanishes_at_the_solution(self, draw):
+        r = std(draw(np.random.default_rng(9), 100000))
+        w = logistic_scale(r)
+        assert w > 0.0
+        assert abs(scale_gradient(w, r)) < 1e-10
+
+    def test_zero_variance_signal_rejected(self):
+        with pytest.raises(FloatingPointError):
+            logistic_scale(np.full(100, 0.3))
+
+    def test_unconverged_solve_raises(self, monkeypatch):
+        monkeypatch.setattr(hofs, "SCALE_MAX_STEPS", 2)
+        with pytest.raises(FloatingPointError, match="did not converge"):
+            logistic_scale(np.tile([-1.0, 1.0], 50))
+
+
+class TestSignalEntropy:
+    def test_signal_entropy_constant_is_zero(self):
+        assert signal_entropy(np.zeros(100), bins=5) == 0.0
+
+    def test_signal_entropy_uniform_bins(self):
+        s = np.linspace(0.0, 1.0, 1000)
+        h = signal_entropy(s, bins=5)
+        assert h == pytest.approx(math.log(5), abs=1e-3)
