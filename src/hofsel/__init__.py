@@ -25,8 +25,7 @@ from .hofs import (HofsConfig, HofsError, SelectionTrace, StepRecord,
                    assign_subset, hofs_score, logistic_scale,
                    partition_correlation, r_balance, run_hofs,
                    signal_entropy)
-from .eval import (EvalError, LinearModel, arae, cross_validate,
-                   error_rate, global_mi, information_gain_curve, predict,
-                   rae, train_linear)
+from .eval import (EvalError, LinearModel, cross_validate, error_rate,
+                   global_mi, information_gain_curve, predict, train_linear)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

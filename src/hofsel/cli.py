@@ -145,7 +145,9 @@ def select(data_path, label_column, method, n_select, bins, coverage, beta,
                 "subsets": [{
                     "features": [names[f] for f in sub.feature_ids],
                     "mi_estimate": sub.mi_estimate,
-                } for sub in partition.subsets],
+                    "rank": rank,
+                } for sub, rank in zip(partition.subsets,
+                                       partition.ranks())],
                 "total_mi": partition.total_mi(),
             }
             _write_json(os.path.join(out, "selection.json"), payload)
@@ -320,12 +322,14 @@ def diagnose(data_path, label_column, n_select, bins, coverage, out_dir):
         balance, per_balance = r_balance(partition, table, config,
                                          per_subset=True)
         curve = information_gain_curve(trace)
+        ranks = partition.ranks()
         names = table.feature_names
         payload = {
             "config": cfg,
             "subsets": [{
                 "features": [names[f] for f in sub.feature_ids],
                 "mi_estimate": sub.mi_estimate,
+                "rank": ranks[i],
                 "mean_corr": per_corr[i],
                 "balance_ratio": per_balance[i],
             } for i, sub in enumerate(partition.subsets)],

@@ -36,18 +36,31 @@ def _train_ovr(A, y, n_classes, l2, epochs, lr):
     change between epochs, so its gradient is computed once. The loop
     carries H = [W, b] / 2, so that H A is tanh's argument as it stands;
     halving and doubling are exact in binary floating point.
+
+    With two classes only class 1's row is descended, and class 0's is
+    returned as its exact negation. This is exact because the targets
+    give 0.5 - T0 = -(0.5 - T1), both rows start at zero and tanh is odd,
+    so every update of row 0 negates row 1's. Against a two-row descent
+    the weights differ only by the BLAS summation order (under 1e-14 on
+    100k samples). The branch keys on n_classes, not on the classes
+    present in y.
     """
     d1, n = A.shape
     Z1 = A.T
-    half_minus_t = np.full((n_classes, n), 0.5)
-    half_minus_t[y, np.arange(n)] = -0.5
+    binary = n_classes == 2
+    rows = 1 if binary else n_classes
+    half_minus_t = np.full((rows, n), 0.5)
+    if binary:
+        half_minus_t[0, y == 1] = -0.5
+    else:
+        half_minus_t[y, np.arange(n)] = -0.5
     fixed_step = np.dot(half_minus_t, Z1)
     fixed_step *= 0.5 * lr / n
     tanh_scale = 0.25 * lr / n
     keep = np.full(d1, 1.0 - lr * l2)
     keep[-1] = 1.0
-    H = np.zeros((n_classes, d1))
-    S = np.empty((n_classes, n))
+    H = np.zeros((rows, d1))
+    S = np.empty((rows, n))
     for _ in range(epochs):
         np.dot(H, A, out=S)
         np.tanh(S, out=S)
@@ -56,6 +69,8 @@ def _train_ovr(A, y, n_classes, l2, epochs, lr):
         step += fixed_step
         H *= keep
         H -= step
+    if binary:
+        H = np.vstack([-H, H])
     return 2.0 * H[:, :-1], 2.0 * H[:, -1]
 
 
@@ -64,7 +79,9 @@ def train_linear(X, y, n_classes, l2=1e-3, epochs=500, lr=0.1):
 
     Deterministic: zero init, fixed epoch count, no shuffling. Features
     are standardized on the training statistics; zero-variance columns
-    pass through unscaled."""
+    pass through unscaled. A two-class probe trains one row and returns
+    it with its exact negation (see _train_ovr), so the argmax of
+    predict still gives class 0 where the score is zero."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.ndim != 2 or len(X) != len(y):
@@ -145,25 +162,6 @@ def cross_validate(data, features, n_folds=10, seed=0):
         model = train_linear(X[mask], y[mask], data.n_classes)
         errors.append(error_rate(model, X[test_idx], y[test_idx]))
     return float(np.mean(errors))
-
-
-def rae(predicted, actual):
-    """Relative absolute error against the mean-of-actuals baseline."""
-    predicted = np.asarray(predicted, dtype=np.float64)
-    actual = np.asarray(actual, dtype=np.float64)
-    if predicted.shape != actual.shape:
-        raise EvalError("prediction and actual shapes disagree")
-    denom = np.abs(actual - actual.mean()).sum()
-    if denom <= 0:
-        raise EvalError("actuals are constant; relative error undefined")
-    return float(np.abs(predicted - actual).sum() / denom)
-
-
-def arae(values):
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        raise EvalError("no error values to average")
-    return float(values.mean())
 
 
 PLUGIN_MAX_FEATURES = 16

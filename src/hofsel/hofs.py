@@ -146,6 +146,16 @@ class SubsetPartition:
     def feature_sets(self):
         return [frozenset(s.feature_ids) for s in self.subsets]
 
+    def ranks(self):
+        """1-based rank of each subset by mi_estimate, highest first; ties
+        go to the lower subset index. Aligned with self.subsets."""
+        by_mi = sorted(range(len(self.subsets)),
+                       key=lambda i: (-self.subsets[i].mi_estimate, i))
+        ranks = [0] * len(by_mi)
+        for rank, i in enumerate(by_mi, start=1):
+            ranks[i] = rank
+        return ranks
+
 
 @dataclass
 class StepRecord:

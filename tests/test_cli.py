@@ -74,6 +74,15 @@ class TestSynthCommand:
         assert result.output.startswith("config: ")
 
 
+def assert_ranked(subsets):
+    """Each subset's rank is its 1-based place by mi_estimate, highest
+    first, ties to the earlier subset; the list keeps its own order."""
+    by_mi = sorted(range(len(subsets)),
+                   key=lambda i: (-subsets[i]["mi_estimate"], i))
+    assert [subsets[i]["rank"] for i in by_mi] == list(
+        range(1, len(subsets) + 1))
+
+
 class TestSelectCommand:
     def test_hofs_writes_selection_and_trace(self, runner, tree_csv,
                                              tmp_path):
@@ -85,6 +94,7 @@ class TestSelectCommand:
         trace = json.loads((out_dir / "trace.json").read_text())
         assert len(selection["selection_order"]) == 4
         assert selection["subsets"]
+        assert_ranked(selection["subsets"])
         assert len(trace["steps"]) == 4
         for step in trace["steps"]:
             assert set(step) >= {"chosen", "gain", "maxcov", "total_mi"}
@@ -178,9 +188,10 @@ class TestDiagnoseCommand:
                                 "avg_balance_ratio", "gain_curve",
                                 "total_mi"}
         assert len(payload["gain_curve"]) == 4
+        assert_ranked(payload["subsets"])
         for sub in payload["subsets"]:
-            assert set(sub) >= {"features", "mi_estimate", "mean_corr",
-                                "balance_ratio"}
+            assert set(sub) >= {"features", "mi_estimate", "rank",
+                                "mean_corr", "balance_ratio"}
             if len(sub["features"]) == 1:
                 assert sub["mean_corr"] is None
             else:

@@ -7,14 +7,12 @@ import oracles
 from hofsel.data import DataTable, discretize
 from hofsel.eval import (
     EvalError,
-    arae,
     cross_validate,
     default_k_values,
     error_rate,
     global_mi,
     information_gain_curve,
     predict,
-    rae,
     stratified_folds,
     train_linear,
 )
@@ -67,8 +65,9 @@ class TestProbe:
         (900, 10, 5, 5, None),
         (600, 4, 3, 3, 2),
         (600, 4, 4, 3, None),
+        (600, 4, 3, 2, None),
     ], ids=["binary-large", "five-class", "zero-variance-column",
-            "absent-class"])
+            "absent-class", "three-class-two-present"])
     def test_weights_match_reference_recipe(self, n, d, n_classes, present,
                                             constant_col):
         rng = np.random.default_rng(11)
@@ -80,6 +79,28 @@ class TestProbe:
         W, b = oracles.ovr_logistic_fit(X, y, n_classes)
         assert np.abs(model.weights - W).max() <= 1e-9
         assert np.abs(model.bias - b).max() <= 1e-9
+
+    def test_binary_rows_are_exact_negations(self):
+        rng = np.random.default_rng(12)
+        X, y = blob_data(rng, 150, 2, spread=1.5)
+        model = train_linear(X, y, 2)
+        assert model.weights.shape == (2, 2)
+        assert np.array_equal(model.weights[0], -model.weights[1])
+        assert np.array_equal(model.bias, -model.bias[::-1])
+
+    def test_three_classes_with_two_present_train_three_rows(self):
+        # the single-row path keys on n_classes, not on the classes seen:
+        # the absent class keeps its own row, which negates neither other
+        # row (rows 0 and 1 are negations here by the same algebra)
+        rng = np.random.default_rng(13)
+        X, y = blob_data(rng, 100, 2, spread=1.5)
+        model = train_linear(X, y, 3)
+        assert model.weights.shape == (3, 2)
+        assert model.bias.shape == (3,)
+        for row in (0, 1):
+            assert not np.array_equal(model.weights[2], -model.weights[row])
+            assert model.bias[2] != -model.bias[row]
+        assert model.bias[2] < 0.0
 
     def test_standardization_is_learned_from_train(self):
         rng = np.random.default_rng(3)
@@ -142,30 +163,17 @@ class TestCrossValidate:
         err = cross_validate(table, [0, 1], n_folds=10, seed=0)
         assert 0.0 <= err <= 100.0
 
+    def test_tree_errors_match_two_row_probe(self):
+        # 10-fold errors of the two-row probe that trained both one-vs-rest
+        # rows of the binary label; one row and its negation must agree
+        tree = gen_tree(TreeModelSpec(n_samples=5000, seed=1))
+        assert cross_validate(tree, [0, 3, 1]) == 27.561105924423696
+        assert cross_validate(tree, list(range(9))) == 26.642545290181165
+
     def test_empty_feature_list_rejected(self):
         table = self.make_table()
         with pytest.raises(EvalError):
             cross_validate(table, [])
-
-
-class TestRelativeErrors:
-    def test_rae_perfect_prediction_is_zero(self):
-        actual = np.array([1.0, 2.0, 4.0])
-        assert rae(actual.copy(), actual) == 0.0
-
-    def test_rae_mean_baseline_is_one(self):
-        actual = np.array([1.0, 2.0, 4.0])
-        baseline = np.full(3, actual.mean())
-        assert rae(baseline, actual) == pytest.approx(1.0, abs=1e-12)
-
-    def test_rae_constant_actuals_rejected(self):
-        with pytest.raises(EvalError):
-            rae(np.array([1.0, 2.0]), np.array([3.0, 3.0]))
-
-    def test_arae_averages(self):
-        assert arae([0.5, 1.5]) == pytest.approx(1.0, abs=1e-12)
-        with pytest.raises(EvalError):
-            arae([])
 
 
 class TestGlobalMi:

@@ -11,6 +11,8 @@ from hofsel.data import DataTable, _discretize_column
 from hofsel.hofs import (
     HofsConfig,
     HofsError,
+    Subset,
+    SubsetPartition,
     _EngineState,
     accumulate_partition,
     assign_subset,
@@ -294,6 +296,12 @@ def assert_same_selection(table, other, T, reindexed=False):
             assert other_scores[t][a] == other_scores[t][b]
 
 
+def append_column(table, column, name, kind):
+    return replace(table, columns=table.columns + [column],
+                   feature_names=table.feature_names + [name],
+                   feature_kinds=table.feature_kinds + [kind])
+
+
 TREE_AND_HETERO = pytest.mark.parametrize("make, T", [
     (lambda: gen_tree(TreeModelSpec(n_samples=5000, seed=1)), 9),
     (lambda: gen_hetero(HeteroModelSpec(seed=0)), 14),
@@ -333,6 +341,40 @@ class TestInvariance:
         swapped = replace(small_tree, labels=1 - small_tree.labels,
                           label_values=small_tree.label_values[::-1])
         assert_same_selection(small_tree, swapped, 9)
+
+    @TREE_AND_HETERO
+    def test_appended_constant_column_is_never_picked(self, make, T):
+        # the order must equal the original one, so the column is not in it
+        table = make()
+        padded = append_column(table, np.full(table.n_samples, 2.5),
+                               "const", "continuous")
+        assert_same_selection(table, padded, T)
+
+    @TREE_AND_HETERO
+    def test_appended_copy_of_first_pick_adds_nothing(self, make, T):
+        # a guard on the rest of the selection only: the copy itself wins
+        # step 2 although its subset's MI does not move
+        table = make()
+        order, subsets, _ = selection_by_name(table, T)
+        first = table.feature_names.index(order[0])
+        padded = append_column(table, table.columns[first].copy(), "copy",
+                               table.feature_kinds[first])
+        padded_order, padded_subsets, _ = selection_by_name(padded, T + 1)
+        assert "copy" in padded_order
+        assert [f for f in padded_order if f != "copy"] == order
+        assert len(padded_subsets) == len(subsets)
+        for (members, mi), (padded_members, padded_mi) in zip(
+                subsets, padded_subsets):
+            assert [f for f in padded_members if f != "copy"] == members
+            assert abs(padded_mi - mi) < 1e-9
+
+
+class TestRanks:
+    def test_rank_by_mi_with_ties_to_lower_index(self):
+        partition = SubsetPartition(subsets=[
+            Subset([0], 0.2), Subset([1], 0.5), Subset([2], 0.2),
+            Subset([3], 0.7)])
+        assert partition.ranks() == [3, 2, 4, 1]
 
 
 class TestAccumulate:
