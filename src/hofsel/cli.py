@@ -273,12 +273,17 @@ def bench(data_path, label_column, methods, k_list, folds, bins, coverage,
                 result = select_greedy(Criterion(kind=method), view,
                                        table.labels, t)
                 orders[method] = result.order
+        # the probe is deterministic: methods that share a top-k share
+        # its error, so each distinct ordered list is validated once
+        errors = {}
         rows = []
         for method in method_list:
             for k in ks:
-                err = cross_validate(table, orders[method][:k],
-                                     n_folds=folds, seed=seed)
-                rows.append({"method": method, "k": k, "error": err})
+                top = tuple(orders[method][:k])
+                if top not in errors:
+                    errors[top] = cross_validate(table, top, n_folds=folds,
+                                                 seed=seed)
+                rows.append({"method": method, "k": k, "error": errors[top]})
         out = _resolve_out_dir(out_dir)
         names = table.feature_names
         payload = {"config": cfg,

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .infotheory import (conditional_mutual_information, mutual_information)
+from .infotheory import mutual_information, pair_information
 
 MIM = "MIM"
 MIFS = "MIFS"
@@ -54,40 +54,39 @@ class SelectionResult:
 
 
 class _PairCache:
-    """Memoizes the pairwise quantities the criteria share."""
+    """Memoizes the quantities the criteria share.
+
+    Each unordered pair is computed once, from the table of the lower
+    index, the higher index and the label (pair_information), so a
+    pairwise value does not depend on which order asked for it first.
+    """
 
     def __init__(self, view, labels):
         self.codes = view.codes
         self.labels = np.asarray(labels, dtype=np.int64)
         self.rel = {}
-        self.pair_mi = {}
-        self.pair_cmi = {}
-        self.pair_joint_rel = {}
+        self.pairs = {}
 
     def relevance(self, i):
         if i not in self.rel:
             self.rel[i] = mutual_information(self.codes[i], self.labels)
         return self.rel[i]
 
-    def feature_mi(self, i, j):
+    def _pair(self, i, j):
         key = (i, j) if i <= j else (j, i)
-        if key not in self.pair_mi:
-            self.pair_mi[key] = mutual_information(self.codes[i], self.codes[j])
-        return self.pair_mi[key]
+        if key not in self.pairs:
+            self.pairs[key] = pair_information(
+                self.codes[key[0]], self.codes[key[1]], self.labels)
+        return self.pairs[key]
+
+    def feature_mi(self, i, j):
+        return self._pair(i, j)[0]
 
     def feature_cmi_given_label(self, i, j):
-        key = (i, j) if i <= j else (j, i)
-        if key not in self.pair_cmi:
-            self.pair_cmi[key] = conditional_mutual_information(
-                self.codes[i], self.codes[j], self.labels)
-        return self.pair_cmi[key]
+        return self._pair(i, j)[1]
 
     def joint_relevance(self, i, j):
-        key = (i, j) if i <= j else (j, i)
-        if key not in self.pair_joint_rel:
-            self.pair_joint_rel[key] = mutual_information(
-                [self.codes[i], self.codes[j]], self.labels)
-        return self.pair_joint_rel[key]
+        return self._pair(i, j)[2]
 
     def label_cmi_given_feature(self, i, j):
         # I(x_i : y | x_j) by the chain I({x_i,x_j}:y) - I(x_j:y)

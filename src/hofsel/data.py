@@ -312,10 +312,13 @@ def _discretize_column(col, kind, bins, scheme):
         edges = lo + (hi - lo) * np.arange(1, bins) / bins
     else:
         raise DataError("unknown scheme %r" % (scheme,))
-    codes = np.searchsorted(edges, col, side="right").astype(np.int64)
+    codes = np.searchsorted(edges, col, side="right").astype(np.int64,
+                                                            copy=False)
     # compact codes so levels are contiguous even when a bin came out empty
-    levels, codes = np.unique(codes, return_inverse=True)
-    return codes.astype(np.int64), edges
+    present = np.bincount(codes, minlength=edges.size + 1) > 0
+    if not present.all():
+        codes = (np.cumsum(present) - 1)[codes]
+    return codes, edges
 
 
 def discretize(table, bins=5, scheme="equal_frequency"):

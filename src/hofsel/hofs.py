@@ -196,8 +196,9 @@ def correlation_matrix(data):
 
 
 class _EngineState:
-    """Per-run caches: discretized view, standardized columns, relevances,
-    the signed correlation matrix, and memoized conditional terms."""
+    """Per-run caches: discretized view, standardized columns, per-feature
+    entropies and relevances, the signed correlation matrix, and
+    memoized conditional terms."""
 
     def __init__(self, data, config):
         self.config = config
@@ -214,6 +215,9 @@ class _EngineState:
         self.rel = np.array([
             mutual_information(self.view.codes[j], self.labels)
             for j in range(m)])
+        # H(x) and H(x,y) per feature, read by every conditional term of x
+        self.h_x = [entropy(c) for c in self.view.codes]
+        self.h_xy = [joint_entropy([c, self.labels]) for c in self.view.codes]
         self.corr = correlation_matrix(data)
         self.term_cache = {}
 
@@ -233,12 +237,10 @@ class _EngineState:
         if self.constant[candidate] or self.label_constant:
             self.term_cache[key] = 0.0
             return 0.0
-        h_x = entropy(self.view.codes[candidate])
-        h_xy = joint_entropy([self.view.codes[candidate], self.labels])
         cond_h = label_conditional_entropy(
             [self.stdcols[f] for f in [*subset.feature_ids, candidate]],
             self.label_std, self.labels, self.config.bins)
-        term = -h_x + h_xy - cond_h
+        term = -self.h_x[candidate] + self.h_xy[candidate] - cond_h
         self.term_cache[key] = term
         return term
 

@@ -1,14 +1,30 @@
 """Plug-in discrete estimators over integer-coded columns.
 
-All five operations reduce to sparse joint counting: tuples of codes are
-packed into a single int64 key (mixed radix, compacted when the radix would
-overflow) and counted once. Values are natural-log by default; pass base=2
-for bits. 0 * log 0 is 0 by convention and no bias correction is applied.
+Every estimate counts once: the codes of a tuple of columns are packed
+into one int64 key per sample (mixed radix, width max + 1 per column)
+and counted with np.bincount. The nonzero counts come out in ascending
+key order, which is the lexicographic order of the code tuples, so an
+entropy does not depend on how its keys were packed. bincount needs one
+cell per possible key, so a radix above _RADIX_PER_SAMPLE cells per
+sample is compacted to the ranks of the keys seen (np.unique, the only
+sort on the counting path), which keeps their order. Codes must be
+nonnegative: a negative code would share its key with another tuple, so
+it raises EstimatorError.
+
+pair_information reads three pairwise quantities from one contingency
+table. Values are natural-log by default; pass base=2 for bits.
+0 * log 0 is 0 by convention and no bias correction is applied.
 """
+
+import math
 
 import numpy as np
 
-_RADIX_LIMIT = 1 << 62
+# Cells per sample a bincount may span before keys are compacted: the
+# count buffer stays within 4x the key array, and up to there one
+# bincount (3 ms over 4N cells at N = 100k) costs less than the
+# np.unique that would compact the keys (4-5 ms).
+_RADIX_PER_SAMPLE = 4
 
 
 class EstimatorError(ValueError):
@@ -34,34 +50,56 @@ def _as_columns(x):
     return out
 
 
+def _compact(codes):
+    """Ranks of the codes among their distinct values, and their count."""
+    _, ranks = np.unique(codes, return_inverse=True)
+    return ranks, int(ranks.max()) + 1
+
+
 def joint_codes(cols):
-    """Pack per-column codes into one int64 key per sample."""
+    """Pack per-column codes into one int64 key per sample.
+
+    Keys follow the lexicographic order of the code tuples and stay
+    below _RADIX_PER_SAMPLE * N; they are the mixed-radix keys (width
+    max + 1 per column) unless that radix exceeds the bound.
+    """
     cols = _as_columns(cols)
     if not cols:
         raise EstimatorError("need at least one column")
     n = cols[0].shape[0]
     if n == 0:
         raise EstimatorError("empty column")
-    codes = cols[0]
-    radix = int(codes.max()) + 1 if codes.size else 1
-    for c in cols[1:]:
+    bound = _RADIX_PER_SAMPLE * n
+    codes = None
+    radix = 1
+    for c in cols:
         if c.shape[0] != n:
             raise EstimatorError("column length mismatch")
+        if c.min() < 0:
+            raise EstimatorError("negative code %d: codes must be >= 0"
+                                 % c.min())
         width = int(c.max()) + 1
-        if radix > _RADIX_LIMIT // max(width, 1):
-            # compact the keys seen so far to keep the radix in range
-            _, codes = np.unique(codes, return_inverse=True)
-            codes = codes.astype(np.int64)
-            radix = int(codes.max()) + 1
-        codes = codes * width + c
-        radix = radix * width
+        if width > bound:
+            c, width = _compact(c)
+        if codes is None:
+            codes = c
+        elif codes is cols[0]:
+            codes = codes * width + c  # never write the caller's column
+        else:
+            # in place: a fresh N-sample buffer costs more in page faults
+            # than the arithmetic that fills it
+            codes *= width
+            codes += c
+        radix *= width
+        if radix > bound:
+            codes, radix = _compact(codes)
     return codes
 
 
 def _joint_counts(cols):
-    codes = joint_codes(cols)
-    _, counts = np.unique(codes, return_counts=True)
-    return counts
+    """Nonzero joint counts in ascending key order, as np.unique gives."""
+    counts = np.bincount(joint_codes(cols))
+    return counts[counts > 0]
 
 
 def _h_from_counts(counts):
@@ -89,13 +127,7 @@ def _clamp(value):
 
 def entropy(col, base=None):
     """H(X) = -sum p log p with p = count / N."""
-    cols = _as_columns(col)
-    if len(cols) != 1:
-        return joint_entropy(cols, base=base)
-    if cols[0].shape[0] == 0:
-        raise EstimatorError("empty column")
-    _, counts = np.unique(cols[0], return_counts=True)
-    return _convert(_h_from_counts(counts), base)
+    return joint_entropy(col, base=base)
 
 
 def joint_entropy(cols, base=None):
@@ -136,3 +168,34 @@ def conditional_mutual_information(a, b, given, base=None):
     h_abg = _h_from_counts(_joint_counts(a + b + given))
     h_g = _h_from_counts(_joint_counts(given))
     return _convert(_clamp(h_ag + h_bg - h_abg - h_g), base)
+
+
+def pair_information(a, b, given):
+    """I(a : b), I(a : b | given) and I(a, b : given) in nats.
+
+    One bincount fills the dense (a, b, given) contingency table, and
+    each of the seven entropies is that of one of its marginals, whose
+    nonzero cells in C order are the counts _joint_counts gives for
+    those columns. The sums follow mutual_information and
+    conditional_mutual_information term by term, so the three values
+    equal theirs bit for bit. Columns whose table would span more than
+    _RADIX_PER_SAMPLE cells per sample are handed to those estimators.
+    """
+    cols = _as_columns([a, b, given])
+    keys = joint_codes(cols)
+    shape = tuple(int(c.max()) + 1 for c in cols)
+    if math.prod(shape) > _RADIX_PER_SAMPLE * keys.shape[0]:
+        # joint_codes compacted these keys, so they index no table
+        return (mutual_information(cols[0], cols[1]),
+                conditional_mutual_information(cols[0], cols[1], cols[2]),
+                mutual_information(cols[:2], cols[2]))
+    table = np.bincount(keys, minlength=math.prod(shape)).reshape(shape)
+
+    def h(*axes):
+        counts = table.sum(axis=tuple(k for k in range(3) if k not in axes))
+        return _h_from_counts(counts[counts > 0])
+
+    h_ab, h_g, h_abg = h(0, 1), h(2), h(0, 1, 2)
+    return (_clamp(h(0) + h(1) - h_ab),
+            _clamp(h(0, 2) + h(1, 2) - h_abg - h_g),
+            _clamp(h_ab + h_g - h_abg))

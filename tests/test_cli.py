@@ -165,6 +165,39 @@ class TestBenchCommand:
         assert csv_lines[0] == "method,k,error"
         assert len(csv_lines) == 5
 
+    def test_cross_validate_once_per_distinct_order(self, runner, tree_csv,
+                                                    tmp_path, monkeypatch):
+        import hofsel.cli as cli
+        from hofsel.eval import cross_validate
+        calls = []
+
+        def counting(table, features, **kwargs):
+            calls.append(tuple(features))
+            return cross_validate(table, features, **kwargs)
+
+        monkeypatch.setattr(cli, "cross_validate", counting)
+        out_dir = tmp_path / "bench"
+        result = runner.invoke(main, ["bench", "--data", tree_csv,
+                                      "--methods", "mim,mrmr,jmi,cmim",
+                                      "--k-list", "1,2,3", "--folds", "3",
+                                      "--out-dir", str(out_dir)])
+        assert result.exit_code == 0, result.output
+        report = json.loads((out_dir / "report.json").read_text())
+        assert len(report["results"]) == 12
+        table = load_csv(tree_csv, label_column="label")
+        names = table.feature_names
+        distinct = set()
+        for row in report["results"]:
+            ids = tuple(names.index(f)
+                        for f in report["orders"][row["method"]][:row["k"]])
+            distinct.add(ids)
+            # the probe is deterministic, so a shared order shares its error
+            assert row["error"] == cross_validate(table, list(ids),
+                                                  n_folds=3, seed=0)
+        # every method opens with the most relevant feature
+        assert len(distinct) < 12
+        assert sorted(calls) == sorted(distinct)
+
     def test_unknown_method_rejected(self, runner, tree_csv):
         result = runner.invoke(main, ["bench", "--data", tree_csv,
                                       "--methods", "mim,sorcery"])

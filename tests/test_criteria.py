@@ -15,8 +15,11 @@ from hofsel.criteria import (
     score_candidate,
     select_greedy,
 )
+from hofsel.criteria import _PairCache
 from hofsel.data import DataTable, discretize
-from hofsel.infotheory import mutual_information
+from hofsel.infotheory import (conditional_mutual_information,
+                               mutual_information)
+from hofsel.synth import TreeModelSpec, gen_tree
 
 
 def random_view(rng, n, m, levels=3):
@@ -95,6 +98,29 @@ class TestScoreFormulas:
         s_clone = score_candidate(crit, 1, [0], view, labels)
         s_fresh = score_candidate(crit, 2, [0], view, labels)
         assert s_fresh > s_clone
+
+
+class TestPairCache:
+    def test_pair_quantities_depend_only_on_unordered_pair(self):
+        table = gen_tree(TreeModelSpec(seed=0))
+        view = discretize(table, bins=5)
+        y = table.labels
+        forward = _PairCache(view, y)
+        backward = _PairCache(view, y)
+        m = len(view.codes)
+        for i in range(m):
+            for j in range(i + 1, m):
+                for name in ("feature_mi", "feature_cmi_given_label",
+                             "joint_relevance"):
+                    got = getattr(forward, name)(i, j)
+                    assert getattr(backward, name)(j, i) == got, (name, i, j)
+                a, b = view.codes[i], view.codes[j]
+                # the estimators' own formulas, in ascending index order
+                assert forward.feature_mi(i, j) == mutual_information(a, b)
+                assert forward.feature_cmi_given_label(i, j) == \
+                    conditional_mutual_information(a, b, y)
+                assert forward.joint_relevance(i, j) == \
+                    mutual_information([a, b], y)
 
 
 class TestGreedySelection:

@@ -4,6 +4,7 @@ import pytest
 from hofsel.data import (
     DataError,
     DataTable,
+    _discretize_column,
     discretize,
     load_csv,
     standardize,
@@ -162,6 +163,30 @@ class TestDiscretize:
                           label_values=[0, 1])
         view = discretize(table, bins=5)
         assert view.n_levels[0] == 2
+
+    def test_codes_match_searchsorted_reference(self):
+        def reference(col, edges):
+            raw = np.searchsorted(edges, col, side="right")
+            return np.unique(raw, return_inverse=True)[1].astype(np.int64)
+
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=2000)
+        cases = [(x, 5, "equal_frequency"), (x, 7, "equal_width"),
+                 (np.round(x, 1), 5, "equal_frequency"),
+                 (np.round(x, 1), 9, "equal_width"),
+                 (rng.exponential(size=500) ** 3, 10, "equal_frequency")]
+        # interior bins that come out empty: [0.6, 1.4) and [4, 6), [6, 8)
+        gap = np.array([0.0] * 40 + [1.0] * 20 + [2.0] * 40)
+        gaps = [(gap, 5, "equal_frequency"), (gap * 5, 5, "equal_width")]
+        for k, (col, bins, scheme) in enumerate(cases + gaps):
+            codes, edges = _discretize_column(col, "continuous", bins,
+                                              scheme)
+            ref = reference(col, edges)
+            assert codes.dtype == ref.dtype
+            assert np.array_equal(codes, ref), (bins, scheme)
+            if k >= len(cases):
+                raw = np.unique(np.searchsorted(edges, col, side="right"))
+                assert raw[-1] - raw[0] + 1 > len(raw)
 
     def test_bad_arguments(self):
         with pytest.raises(DataError):

@@ -6,12 +6,15 @@ import pytest
 import oracles
 from hofsel.infotheory import (
     EstimatorError,
+    _RADIX_PER_SAMPLE,
+    _joint_counts,
     conditional_entropy,
     conditional_mutual_information,
     entropy,
     joint_codes,
     joint_entropy,
     mutual_information,
+    pair_information,
 )
 
 LOG2 = math.log(2.0)
@@ -47,6 +50,21 @@ class TestEntropy:
     def test_fair_coin_is_one_bit(self):
         col = np.array([0, 1] * 50, dtype=np.int64)
         assert entropy(col, base=2) == pytest.approx(1.0, abs=1e-12)
+
+    def test_negative_codes_rejected(self):
+        # packed with width max + 1, the pairs (0, -1) and (1, -1) would
+        # share keys with (-1, 1) and (0, 1): log 4 would read as 1.0397
+        # and the MI of these two independent columns as 0.3466
+        a = [0, 1, 0, 1]
+        b = [0, -1, -1, 0]
+        with pytest.raises(EstimatorError, match="negative"):
+            joint_entropy([a, b])
+        with pytest.raises(EstimatorError, match="negative"):
+            mutual_information(np.array(a), np.array(b))
+        with pytest.raises(EstimatorError, match="negative"):
+            entropy(np.array(b))
+        with pytest.raises(EstimatorError, match="negative"):
+            joint_codes([np.array(b), np.array(a)])
 
 
 class TestJointAndChain:
@@ -85,6 +103,48 @@ class TestJointAndChain:
             seen[key] = codes[i]
         assert len(np.unique(codes)) == len(seen)
 
+    def test_counts_equal_sorted_unique_counts(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            n = int(rng.integers(1, 80))
+            cols = [rng.integers(0, int(rng.integers(1, 7)), size=n)
+                    for _ in range(int(rng.integers(1, 5)))]
+            _, ref = np.unique(joint_codes(cols), return_counts=True)
+            got = _joint_counts(cols)
+            assert got.dtype == ref.dtype
+            assert np.array_equal(got, ref)
+
+    def test_compacted_keys_keep_identity_and_order(self):
+        # 28 five-level columns span 5**28 > 2**62 keys, past any radix
+        # bound; 300 samples repeat 100 distinct tuples
+        rng = np.random.default_rng(12)
+        n = 300
+        rows = rng.integers(0, 100, size=n)
+        cols = [rng.integers(0, 5, size=100)[rows] for _ in range(28)]
+        cols[3][:] = 4  # a constant column
+        codes = joint_codes(cols)
+        assert codes.dtype == np.int64
+        assert 0 <= codes.min()
+        assert codes.max() < _RADIX_PER_SAMPLE * n
+        table = {}
+        key_of = {}
+        for i in range(n):
+            t = tuple(int(c[i]) for c in cols)
+            table[t] = table.get(t, 0) + 1
+            assert key_of.setdefault(t, codes[i]) == codes[i]
+        # one key per tuple, ascending in the lexicographic tuple order
+        keys = [key_of[t] for t in sorted(table)]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        counts = _joint_counts(cols)
+        assert counts.tolist() == [table[t] for t in sorted(table)]
+        _, ref = np.unique(codes, return_counts=True)
+        assert np.array_equal(counts, ref)
+        assert joint_entropy(cols) == pytest.approx(
+            oracles.table_entropy(cols), abs=1e-12)
+        assert mutual_information(cols[:14], cols[14:]) == pytest.approx(
+            oracles.table_mi(oracles.joint_column(cols[:14]),
+                             oracles.joint_column(cols[14:])), abs=1e-12)
+
 
 class TestMutualInformation:
     def test_self_information_equals_entropy(self):
@@ -110,6 +170,33 @@ class TestMutualInformation:
             a = rng.integers(0, 3, size=16)
             b = rng.integers(0, 3, size=16)
             assert mutual_information(a, b) >= 0.0
+
+
+class TestPairInformation:
+    """One contingency table gives the estimators' values bit for bit."""
+
+    def test_equals_estimators_on_both_paths(self):
+        rng = np.random.default_rng(31)
+        dense = []
+        for trial in range(40):
+            n = int(rng.integers(2, 120))
+            # every fourth trial has columns too wide for a dense table
+            top = 60 if trial % 4 == 0 else 5
+            a = rng.integers(0, int(rng.integers(1, top)) + 1, size=n)
+            b = rng.integers(0, int(rng.integers(1, top)) + 1, size=n)
+            y = rng.integers(0, int(rng.integers(1, 4)) + 1, size=n)
+            cells = (a.max() + 1) * (b.max() + 1) * (y.max() + 1)
+            dense.append(cells <= _RADIX_PER_SAMPLE * n)
+            assert pair_information(a, b, y) == (
+                mutual_information(a, b),
+                conditional_mutual_information(a, b, y),
+                mutual_information([a, b], y)), trial
+        assert 5 <= sum(dense) <= 35
+
+    def test_negative_codes_rejected(self):
+        with pytest.raises(EstimatorError, match="negative"):
+            pair_information(np.array([0, 1]), np.array([1, 0]),
+                             np.array([0, -1]))
 
 
 class TestParityExamples:
