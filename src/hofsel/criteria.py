@@ -54,18 +54,27 @@ class SelectionResult:
 
 
 class _PairCache:
-    """Memoizes the quantities the criteria share.
+    """Memoizes the quantities the criteria share, on the view they read.
 
     Each unordered pair is computed once, from the table of the lower
     index, the higher index and the label (pair_information), so a
     pairwise value does not depend on which order asked for it first.
+    The relevances and pair tables are kept on the view for one label
+    vector at a time: every select_greedy or score_candidate call over
+    that view with equal labels fills each of them once, and other
+    labels replace them with fresh ones. Labels are compared by content
+    against a private copy, so a caller that rewrites its array in
+    place never reads tables of the old values. The tables live and
+    die with the view, whose codes are never rewritten.
     """
 
     def __init__(self, view, labels):
         self.codes = view.codes
-        self.labels = np.asarray(labels, dtype=np.int64)
-        self.rel = {}
-        self.pairs = {}
+        labels = np.asarray(labels, dtype=np.int64)
+        shared = view.criteria_tables
+        if shared is None or not np.array_equal(shared[0], labels):
+            shared = view.criteria_tables = (labels.copy(), {}, {})
+        self.labels, self.rel, self.pairs = shared
 
     def relevance(self, i):
         if i not in self.rel:

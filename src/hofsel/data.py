@@ -85,12 +85,17 @@ class DiscretizedView:
 
     codes[j] has values in [0, n_levels[j]); bin_edges[j] is None for
     categorical columns and an ascending interior-edge array otherwise.
+    criteria_tables holds the relevances and pair tables the criteria
+    computed over these codes for one label vector (criteria._PairCache);
+    it is a memo, not part of the view's value.
     """
 
     codes: list
     bin_edges: list
     bin_count: int
     n_levels: list
+    criteria_tables: tuple = field(default=None, init=False, repr=False,
+                                   compare=False)
 
 
 def _is_categorical(values):
@@ -298,20 +303,42 @@ def standardize_column(col):
     return (col - col.mean()) / sd
 
 
+def _sorted_quantiles(s, qs):
+    """np.quantile(s, qs) for an ascending array s, without its partition.
+
+    The "linear" rule as numpy computes it: virtual index (n - 1) * q,
+    its floor and the next element as neighbours, and the two-sided
+    lerp (from b where the fraction is at least 0.5), so the values are
+    np.quantile's bit for bit.
+    """
+    last = s.shape[0] - 1
+    pos = last * qs
+    below = np.floor(pos)
+    gamma = pos - below
+    i = below.astype(np.intp)
+    a = s[i]
+    b = s[np.minimum(i + 1, last)]
+    diff = b - a
+    return np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
+
+
 def _discretize_column(col, kind, bins, scheme):
     if kind == CATEGORICAL:
         _, codes = np.unique(col, return_inverse=True)
         return codes.astype(np.int64), None
-    lo, hi = col.min(), col.max()
+    if scheme == "equal_frequency":
+        s = np.sort(col)
+        lo, hi = s[0], s[-1]
+    elif scheme == "equal_width":
+        lo, hi = col.min(), col.max()
+    else:
+        raise DataError("unknown scheme %r" % (scheme,))
     if hi - lo < 1e-12:
         return np.zeros(col.shape[0], dtype=np.int64), np.empty(0)
     if scheme == "equal_frequency":
-        qs = np.arange(1, bins) / bins
-        edges = np.unique(np.quantile(col, qs))
-    elif scheme == "equal_width":
-        edges = lo + (hi - lo) * np.arange(1, bins) / bins
+        edges = np.unique(_sorted_quantiles(s, np.arange(1, bins) / bins))
     else:
-        raise DataError("unknown scheme %r" % (scheme,))
+        edges = lo + (hi - lo) * np.arange(1, bins) / bins
     codes = np.searchsorted(edges, col, side="right").astype(np.int64,
                                                             copy=False)
     # compact codes so levels are contiguous even when a bin came out empty
@@ -325,7 +352,10 @@ def discretize(table, bins=5, scheme="equal_frequency"):
     """Integer-code every column: categorical bijectively, continuous binned.
 
     equal_frequency places interior edges at the 1/B..(B-1)/B quantiles
-    (duplicate edges collapse); equal_width slices [min, max] evenly.
+    (duplicate edges collapse), read off one sort of the column by
+    np.quantile's "linear" rule, so they equal np.quantile's; equal_width
+    slices [min, max] evenly. Both code a value by the edges at or below
+    it (searchsorted, side="right").
     Labels are never binned; they stay class codes on the DataTable.
     """
     if bins < 2:

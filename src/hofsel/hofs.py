@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import _discretize_column, discretize, standardize_column
-from .infotheory import entropy, joint_entropy, mutual_information
+from .infotheory import entropy, information_from_entropies, joint_entropy
 
 
 SCALE_MAX_STEPS = 100
@@ -204,7 +204,6 @@ class _EngineState:
         self.config = config
         self.view = discretize(data, bins=config.bins)
         self.labels = data.labels
-        m = data.n_features
         self.stdcols = [_standardized(col) for col in data.columns]
         self.constant = [not col.any() for col in self.stdcols]
         self.label_constant = len(np.unique(data.labels)) < 2
@@ -212,12 +211,14 @@ class _EngineState:
             self.label_std = np.zeros(data.n_samples)
         else:
             self.label_std = standardize_column(data.labels.astype(np.float64))
-        self.rel = np.array([
-            mutual_information(self.view.codes[j], self.labels)
-            for j in range(m)])
-        # H(x) and H(x,y) per feature, read by every conditional term of x
+        # H(x) and H(x,y) per feature, counted once: the relevance
+        # I(x:y) sums them with H(y), and every conditional term of x
+        # reads them again
         self.h_x = [entropy(c) for c in self.view.codes]
         self.h_xy = [joint_entropy([c, self.labels]) for c in self.view.codes]
+        h_y = entropy(self.labels)
+        self.rel = np.array([information_from_entropies(hx, h_y, hxy)
+                             for hx, hxy in zip(self.h_x, self.h_xy)])
         self.corr = correlation_matrix(data)
         self.term_cache = {}
 

@@ -146,6 +146,11 @@ def conditional_entropy(cols, given, base=None):
     return _convert(_clamp(h_all - h_given), base)
 
 
+def information_from_entropies(h_a, h_b, h_ab):
+    """I(A : B) = H(A) + H(B) - H(A, B) from entropies already counted."""
+    return _clamp(h_a + h_b - h_ab)
+
+
 def mutual_information(a, b, base=None):
     """I(A : B) = H(A) + H(B) - H(A, B), symmetric and nonnegative."""
     a = _as_columns(a)
@@ -153,7 +158,7 @@ def mutual_information(a, b, base=None):
     h_a = _h_from_counts(_joint_counts(a))
     h_b = _h_from_counts(_joint_counts(b))
     h_ab = _h_from_counts(_joint_counts(a + b))
-    return _convert(_clamp(h_a + h_b - h_ab), base)
+    return _convert(information_from_entropies(h_a, h_b, h_ab), base)
 
 
 def conditional_mutual_information(a, b, given, base=None):
@@ -196,6 +201,6 @@ def pair_information(a, b, given):
         return _h_from_counts(counts[counts > 0])
 
     h_ab, h_g, h_abg = h(0, 1), h(2), h(0, 1, 2)
-    return (_clamp(h(0) + h(1) - h_ab),
+    return (information_from_entropies(h(0), h(1), h_ab),
             _clamp(h(0, 2) + h(1, 2) - h_abg - h_g),
-            _clamp(h_ab + h_g - h_abg))
+            information_from_entropies(h_ab, h_g, h_abg))

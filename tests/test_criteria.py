@@ -106,7 +106,8 @@ class TestPairCache:
         view = discretize(table, bins=5)
         y = table.labels
         forward = _PairCache(view, y)
-        backward = _PairCache(view, y)
+        # its own view: one view shares its tables between caches
+        backward = _PairCache(discretize(table, bins=5), y)
         m = len(view.codes)
         for i in range(m):
             for j in range(i + 1, m):
@@ -121,6 +122,72 @@ class TestPairCache:
                     conditional_mutual_information(a, b, y)
                 assert forward.joint_relevance(i, j) == \
                     mutual_information([a, b], y)
+
+
+def _run(kind, view, labels, T):
+    r = select_greedy(Criterion(kind), view, labels, T)
+    return r.order, r.scores, r.per_step_candidates
+
+
+def _shared_runs(view, labels, T):
+    return [_run(kind, view, labels, T) for kind in KINDS]
+
+
+def _fresh_runs(table, labels, T):
+    """Each criterion over a view of its own, so nothing is shared."""
+    return [_run(kind, discretize(table, bins=5), labels, T)
+            for kind in KINDS]
+
+
+class TestSharedTables:
+    """Criteria over one view share its tables, one label vector at a
+    time: every value equals the one a fresh view gives."""
+
+    def test_shared_tables_never_serve_another_label_vector(self):
+        table = gen_tree(TreeModelSpec(n_samples=3000, seed=3))
+        view = discretize(table, bins=5)
+        y = table.labels.copy()
+        rng = np.random.default_rng(12)
+        T = 5
+        for labels in (y, 1 - y, rng.permutation(y), y):
+            assert _shared_runs(view, labels, T) == \
+                _fresh_runs(table, labels, T)
+            for kind in KINDS:
+                got = score_candidate(Criterion(kind), 4, [0, 7], view,
+                                      labels)
+                assert got == score_candidate(
+                    Criterion(kind), 4, [0, 7], discretize(table, bins=5),
+                    labels), kind
+
+        # the caller rewrites its label array in place between calls
+        view = discretize(table, bins=5)
+        caller = y.copy()
+        _shared_runs(view, caller, T)
+        caller[:] = rng.permutation(caller)
+        expect = _fresh_runs(table, caller.copy(), T)
+        assert _shared_runs(view, caller, T) == expect
+
+    def test_six_criteria_over_one_view_count_each_table_once(
+            self, monkeypatch):
+        import hofsel.criteria as criteria
+        table = gen_tree(TreeModelSpec(n_samples=5000, seed=0))
+        T = table.n_features
+        fresh = _fresh_runs(table, table.labels, T)
+        calls = {"pair": 0, "rel": 0}
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(criteria, "pair_information",
+                            counted("pair", criteria.pair_information))
+        monkeypatch.setattr(criteria, "mutual_information",
+                            counted("rel", criteria.mutual_information))
+        shared = _shared_runs(discretize(table, bins=5), table.labels, T)
+        assert calls == {"pair": T * (T - 1) // 2, "rel": T}
+        assert shared == fresh
 
 
 class TestGreedySelection:

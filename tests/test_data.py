@@ -188,6 +188,35 @@ class TestDiscretize:
                 raw = np.unique(np.searchsorted(edges, col, side="right"))
                 assert raw[-1] - raw[0] + 1 > len(raw)
 
+    def test_sorted_edges_equal_np_quantile(self):
+        # guards the edges read off one sort against np.quantile's own
+        # rounding, which a future numpy could change
+        rng = np.random.default_rng(2024)
+        makers = [
+            lambda n: rng.normal(size=n),
+            lambda n: np.round(rng.normal(size=n), int(rng.integers(0, 3))),
+            lambda n: rng.integers(-20, 20, size=n).astype(np.float64),
+            lambda n: rng.choice([-1.5, 2.25], size=n),
+            lambda n: rng.choice([0.0, 1.0, 7.0], size=n,
+                                 p=[0.9, 0.07, 0.03]),
+            lambda n: rng.exponential(size=n) ** 3,
+        ]
+        for trial in range(240):
+            n = int(rng.integers(2, 5001))
+            bins = int(rng.integers(2, 61))
+            col = makers[trial % len(makers)](n)
+            codes, edges = _discretize_column(col, "continuous", bins,
+                                              "equal_frequency")
+            if col.max() - col.min() < 1e-12:
+                assert edges.size == 0 and not codes.any()
+                continue
+            want = np.unique(np.quantile(col, np.arange(1, bins) / bins))
+            assert edges.shape == want.shape and (edges == want).all(), \
+                (trial, n, bins)
+            ref = np.searchsorted(want, col, side="right")
+            ref = np.unique(ref, return_inverse=True)[1].astype(np.int64)
+            assert np.array_equal(codes, ref), (trial, n, bins)
+
     def test_bad_arguments(self):
         with pytest.raises(DataError):
             discretize(small_table(), bins=1)
