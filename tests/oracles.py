@@ -134,33 +134,64 @@ def train_standardization(X_train):
     return mean, np.where(std <= 1e-12, 1.0, std)
 
 
-def ovr_logistic_fit(X_train, y_train, n_classes, l2=1e-3, epochs=500,
-                     lr=0.1):
-    """Reference one-vs-rest probe weights, one literal step per epoch.
+def _softplus(u):
+    """log(1 + exp(u)) without overflow, for any u in [-inf, inf)."""
+    return max(u, 0.0) + math.log1p(math.exp(-abs(u)))
 
-    Returns (W (C, d), b (C,)) fitted on the training-standardized design."""
+
+def _sigmoid(u):
+    if u >= 0.0:
+        return 1.0 / (1.0 + math.exp(-u))
+    e = math.exp(u)
+    return e / (1.0 + e)
+
+
+def _row_scores(X_train, w, b):
     mean, std = train_standardization(X_train)
-    Z = (X_train - mean) / std
-    T = np.zeros((len(y_train), n_classes))
-    T[np.arange(len(y_train)), y_train] = 1.0
-    W = np.zeros((n_classes, Z.shape[1]))
-    b = np.zeros(n_classes)
-    for _ in range(epochs):
-        P = 0.5 * (1.0 + np.tanh(0.5 * (Z @ W.T + b)))
-        G = (P - T) / len(y_train)
-        W -= lr * (G.T @ Z + l2 * W)
-        b -= lr * G.sum(axis=0)
-    return W, b
+    rows = ((X_train - mean) / std).tolist()
+    w = [float(v) for v in w]
+    return rows, [sum(wj * zj for wj, zj in zip(w, z)) + float(b)
+                  for z in rows]
 
 
-def ovr_logistic_error(X_train, y_train, X_test, y_test, n_classes,
-                       l2=1e-3, epochs=500, lr=0.1):
-    """Reference one-vs-rest probe matching the documented recipe."""
-    W, b = ovr_logistic_fit(X_train, y_train, n_classes, l2, epochs, lr)
+def logistic_row_objective(X_train, y_train, k, w, b, l2=1e-3):
+    """One-vs-rest objective of class k's probe row (w, b), one literal
+    sample at a time.
+
+    The mean over samples of -log P(target), with P(class k) =
+    sigmoid(w . z + b) on the training-standardized sample z, plus
+    l2/2 |w|^2; the bias is not penalized."""
+    _, scores = _row_scores(X_train, w, b)
+    terms = [_softplus(-score) if yi == k else _softplus(score)
+             for score, yi in zip(scores, y_train.tolist())]
+    penalty = 0.5 * l2 * math.fsum(float(v) * float(v) for v in w)
+    return math.fsum(terms) / len(terms) + penalty
+
+
+def logistic_row_gradient(X_train, y_train, k, w, b, l2=1e-3):
+    """Gradient of logistic_row_objective in (w, b), bias last: the mean
+    of (sigmoid(score) - [y = k]) times (z, 1), plus l2 w."""
+    rows, scores = _row_scores(X_train, w, b)
+    resid = [_sigmoid(score) - (1.0 if yi == k else 0.0)
+             for score, yi in zip(scores, y_train.tolist())]
+    grad = [math.fsum(r * z[j] for r, z in zip(resid, rows)) / len(rows)
+            + l2 * float(w[j]) for j in range(len(w))]
+    grad.append(math.fsum(resid) / len(rows))
+    return grad
+
+
+def ovr_probe_error(W, b, X_train, X_test, y_test):
+    """Held-out error (percent) of probe rows (W, b), standardized on the
+    training columns: each test sample goes to the first class with the
+    highest score."""
     mean, std = train_standardization(X_train)
-    Zt = (X_test - mean) / std
-    pred = np.argmax(Zt @ W.T + b, axis=1)
-    return float(np.mean(pred != y_test) * 100.0)
+    wrong = 0
+    for x, yi in zip(X_test.tolist(), y_test.tolist()):
+        z = [(xj - mj) / sj for xj, mj, sj in zip(x, mean, std)]
+        scores = [sum(wj * zj for wj, zj in zip(row, z)) + float(bk)
+                  for row, bk in zip(W.tolist(), b)]
+        wrong += scores.index(max(scores)) != yi
+    return 100.0 * wrong / len(y_test)
 
 
 def triangular_unmixing(columns):

@@ -198,6 +198,19 @@ class TestBenchCommand:
         assert len(distinct) < 12
         assert sorted(calls) == sorted(distinct)
 
+    def test_unconverged_probe_is_numeric_failure(self, runner, tree_csv,
+                                                  tmp_path, monkeypatch):
+        import hofsel.eval as evaluation
+        monkeypatch.setattr(evaluation, "PROBE_MAX_STEPS", 1)
+        out_dir = tmp_path / "bench"
+        result = runner.invoke(main, ["bench", "--data", tree_csv,
+                                      "--methods", "mim", "--k-list", "2",
+                                      "--folds", "3",
+                                      "--out-dir", str(out_dir)])
+        assert result.exit_code == 4, result.output
+        assert "did not converge" in result.output
+        assert not (out_dir / "report.json").exists()
+
     def test_unknown_method_rejected(self, runner, tree_csv):
         result = runner.invoke(main, ["bench", "--data", tree_csv,
                                       "--methods", "mim,sorcery"])

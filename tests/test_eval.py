@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,25 @@ from hofsel.eval import (
 )
 from hofsel.hofs import HofsConfig, run_hofs
 from hofsel.infotheory import EstimatorError
-from hofsel.synth import TreeModelSpec, gen_tree
+from hofsel.synth import HeteroModelSpec, TreeModelSpec, gen_hetero, gen_tree
+
+
+def assert_solves_objective(model, X, y, perturb=True):
+    """Every present class's row has oracle gradient max-norm <= 1e-8 and,
+    with perturb, no lower objective at +-1e-4 on any coordinate."""
+    for k in np.unique(y):
+        w, b = model.weights[k], model.bias[k]
+        grad = oracles.logistic_row_gradient(X, y, k, w, b)
+        assert np.abs(grad).max() <= 1e-8
+        if not perturb:
+            continue
+        base = oracles.logistic_row_objective(X, y, k, w, b)
+        for j in range(len(w) + 1):
+            for delta in (1e-4, -1e-4):
+                w2, b2 = w.copy(), b + delta * (j == len(w))
+                if j < len(w):
+                    w2[j] += delta
+                assert oracles.logistic_row_objective(X, y, k, w2, b2) >= base
 
 
 def blob_data(rng, n_per_class, n_classes, spread=0.6):
@@ -41,6 +60,7 @@ class TestProbe:
         X, y = blob_data(rng, 60, 3, spread=0.2)
         model = train_linear(X, y, 3)
         assert error_rate(model, X, y) == 0.0
+        assert_solves_objective(model, X, y)
 
     def test_error_rate_is_percent_mismatch(self):
         rng = np.random.default_rng(1)
@@ -56,29 +76,44 @@ class TestProbe:
         X_tr, y_tr = X[:120], y[:120]
         X_te, y_te = X[120:], y[120:]
         model = train_linear(X_tr, y_tr, 3)
+        assert_solves_objective(model, X_tr, y_tr, perturb=False)
         ours = error_rate(model, X_te, y_te)
-        ref = oracles.ovr_logistic_error(X_tr, y_tr, X_te, y_te, 3)
+        ref = oracles.ovr_probe_error(model.weights, model.bias, X_tr,
+                                      X_te, y_te)
         assert ours == pytest.approx(ref, abs=1e-9)
 
-    @pytest.mark.parametrize("n, d, n_classes, present, constant_col", [
-        (20000, 3, 2, 2, None),
-        (900, 10, 5, 5, None),
-        (600, 4, 3, 3, 2),
-        (600, 4, 4, 3, None),
-        (600, 4, 3, 2, None),
+    @pytest.mark.parametrize("n, d, n_classes, present, constant_col, gap", [
+        (20000, 3, 2, 2, None, 0.8),
+        (900, 10, 5, 5, None, 0.8),
+        (600, 4, 3, 3, 2, 0.8),
+        (400, 3, 3, 3, None, 6.0),
+        (600, 4, 4, 3, None, 0.8),
+        (600, 4, 3, 2, None, 0.8),
     ], ids=["binary-large", "five-class", "zero-variance-column",
-            "absent-class", "three-class-two-present"])
+            "near-separable", "absent-class", "three-class-two-present"])
     def test_weights_match_reference_recipe(self, n, d, n_classes, present,
-                                            constant_col):
+                                            constant_col, gap):
+        # the reference recipe is the literal per-sample objective in
+        # oracles: every present row must be its minimizer
         rng = np.random.default_rng(11)
         y = np.arange(n) % present
-        X = rng.normal(size=(n, d)) + 0.8 * y[:, None] * rng.normal(size=d)
+        X = rng.normal(size=(n, d)) + gap * y[:, None] * rng.normal(size=d)
         if constant_col is not None:
             X[:, constant_col] = 0.3
         model = train_linear(X, y, n_classes)
-        W, b = oracles.ovr_logistic_fit(X, y, n_classes)
-        assert np.abs(model.weights - W).max() <= 1e-9
-        assert np.abs(model.bias - b).max() <= 1e-9
+        assert_solves_objective(model, X, y)
+        for k in range(present, n_classes):
+            assert np.array_equal(model.weights[k], np.zeros(d))
+            assert model.bias[k] == -np.inf
+        assert predict(model, X).max() < present
+
+    def test_reaches_optimum_on_hetero_10k(self):
+        # 500 epochs of the former gradient descent stopped at a gradient
+        # max-norm of 0.023 here
+        table = gen_hetero(HeteroModelSpec(block_size=1000))
+        X = np.column_stack([table.columns[f] for f in range(5)])
+        model = train_linear(X, table.labels, table.n_classes)
+        assert_solves_objective(model, X, table.labels, perturb=False)
 
     def test_binary_rows_are_exact_negations(self):
         rng = np.random.default_rng(12)
@@ -87,20 +122,58 @@ class TestProbe:
         assert model.weights.shape == (2, 2)
         assert np.array_equal(model.weights[0], -model.weights[1])
         assert np.array_equal(model.bias, -model.bias[::-1])
+        # the negation is class 0's own optimum, not just a mirror
+        assert_solves_objective(model, X, y)
 
     def test_three_classes_with_two_present_train_three_rows(self):
         # the single-row path keys on n_classes, not on the classes seen:
-        # the absent class keeps its own row, which negates neither other
-        # row (rows 0 and 1 are negations here by the same algebra)
+        # the absent class keeps a row of its own, zero weights and bias
+        # -inf, and is never predicted, even far from the training data
         rng = np.random.default_rng(13)
         X, y = blob_data(rng, 100, 2, spread=1.5)
         model = train_linear(X, y, 3)
         assert model.weights.shape == (3, 2)
         assert model.bias.shape == (3,)
-        for row in (0, 1):
-            assert not np.array_equal(model.weights[2], -model.weights[row])
-            assert model.bias[2] != -model.bias[row]
-        assert model.bias[2] < 0.0
+        assert np.array_equal(model.weights[2], np.zeros(2))
+        assert model.bias[2] == -np.inf
+        assert np.isfinite(model.bias[:2]).all()
+        far = rng.normal(scale=1e3, size=(500, 2))
+        assert predict(model, np.vstack([X, far])).max() == 1
+
+    def test_absent_class_row_leaves_other_rows_unchanged(self):
+        rng = np.random.default_rng(14)
+        X, y = blob_data(rng, 80, 3, spread=1.5)
+        three = train_linear(X, y, 3)
+        four = train_linear(X, y, 4)
+        assert np.abs(four.weights[:3] - three.weights).max() <= 1e-12
+        assert np.abs(four.bias[:3] - three.bias).max() <= 1e-12
+        assert np.array_equal(predict(four, X), predict(three, X))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        rng = np.random.default_rng(15)
+        X, y = blob_data(rng, 40, 2)
+        model = train_linear(X, y, 3)
+        X[7, 1] = bad
+        with pytest.raises(EvalError, match="NaN or inf"):
+            train_linear(X, y, 2)
+        # a non-finite score could otherwise pick the absent class 2
+        with pytest.raises(EvalError, match="NaN or inf"):
+            predict(model, X[5:9])
+
+    def test_labels_outside_class_range_rejected(self):
+        rng = np.random.default_rng(16)
+        X, y = blob_data(rng, 40, 3)
+        with pytest.raises(EvalError, match="outside"):
+            train_linear(X, y, 2)
+
+    def test_unconverged_solve_raises(self, monkeypatch):
+        import hofsel.eval as evaluation
+        monkeypatch.setattr(evaluation, "PROBE_MAX_STEPS", 2)
+        rng = np.random.default_rng(17)
+        X, y = blob_data(rng, 40, 2)
+        with pytest.raises(FloatingPointError, match="did not converge"):
+            train_linear(X, y, 2)
 
     def test_standardization_is_learned_from_train(self):
         rng = np.random.default_rng(3)
@@ -164,11 +237,16 @@ class TestCrossValidate:
         assert 0.0 <= err <= 100.0
 
     def test_tree_errors_match_two_row_probe(self):
-        # 10-fold errors of the two-row probe that trained both one-vs-rest
-        # rows of the binary label; one row and its negation must agree
+        # 10-fold errors of the probe solved to its optimum; declaring a
+        # third, absent class makes it solve both one-vs-rest rows of the
+        # binary label apart, and one row and its negation must agree
         tree = gen_tree(TreeModelSpec(n_samples=5000, seed=1))
-        assert cross_validate(tree, [0, 3, 1]) == 27.561105924423696
-        assert cross_validate(tree, list(range(9))) == 26.642545290181165
+        two_row = SimpleNamespace(columns=tree.columns, labels=tree.labels,
+                                  n_classes=3)
+        for features, pinned in (([0, 3, 1], 27.64138536554146),
+                                 (list(range(9)), 26.562664570658278)):
+            assert cross_validate(tree, features) == pinned
+            assert cross_validate(two_row, features) == pinned
 
     def test_empty_feature_list_rejected(self):
         table = self.make_table()
