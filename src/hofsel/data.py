@@ -322,6 +322,18 @@ def _sorted_quantiles(s, qs):
     return np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
 
 
+def _code(col, edges):
+    """Code each value by the edges at or below it (searchsorted,
+    side="right"), compacted so that the levels are contiguous even when
+    a bin came out empty."""
+    codes = np.searchsorted(edges, col, side="right").astype(np.int64,
+                                                            copy=False)
+    present = np.bincount(codes, minlength=edges.size + 1) > 0
+    if not present.all():
+        codes = (np.cumsum(present) - 1)[codes]
+    return codes
+
+
 def _discretize_column(col, kind, bins, scheme):
     if kind == CATEGORICAL:
         _, codes = np.unique(col, return_inverse=True)
@@ -339,13 +351,36 @@ def _discretize_column(col, kind, bins, scheme):
         edges = np.unique(_sorted_quantiles(s, np.arange(1, bins) / bins))
     else:
         edges = lo + (hi - lo) * np.arange(1, bins) / bins
-    codes = np.searchsorted(edges, col, side="right").astype(np.int64,
-                                                            copy=False)
-    # compact codes so levels are contiguous even when a bin came out empty
-    present = np.bincount(codes, minlength=edges.size + 1) > 0
-    if not present.all():
-        codes = (np.cumsum(present) - 1)[codes]
-    return codes, edges
+    return _code(col, edges), edges
+
+
+def tied_equal_frequency_codes(col, bins):
+    """Equal-frequency codes of a column that never split a tied level.
+
+    The column is sorted once. Runs of the sorted values break wherever
+    the gap between neighbours exceeds 1e-10 of the range, so values
+    that differ only by rounding form one run. The edges start as
+    discretize's equal-frequency edges; an edge that falls in a run
+    (above its first value, at or below its last) moves down to the
+    run's first value, so the whole run codes as one level. A column
+    whose range is below 1e-12 is one level.
+    """
+    s = np.sort(col)
+    span = s[-1] - s[0]
+    if span < 1e-12:
+        return np.zeros(col.shape[0], dtype=np.int64)
+    tol = 1e-10 * span
+    edges = _sorted_quantiles(s, np.arange(1, bins) / bins)
+    # the first sorted value at or above each edge: the edge falls in a
+    # run when the value below it is within tol, and only then are the
+    # run starts looked up
+    above = np.searchsorted(s, edges)
+    inside = (above > 0) & (s[above] - s[np.maximum(above - 1, 0)] <= tol)
+    if inside.any():
+        starts = np.flatnonzero(np.concatenate(([True], np.diff(s) > tol)))
+        edges[inside] = s[starts[np.searchsorted(starts, above[inside],
+                                                 side="right") - 1]]
+    return _code(col, edges)
 
 
 def discretize(table, bins=5, scheme="equal_frequency"):

@@ -5,8 +5,15 @@ conditional term fits the label once: a least-squares reconstruction of
 the standardized label from the subset's columns and the candidate's
 column, whose binned values upgrade that subset's mutual information
 with the label beyond what per-feature plug-in estimates can see. The
-diagnostics read the same label fit (r_balance) and the same feature
-correlation matrix that assigns subsets (partition_correlation).
+standardized columns and label form one block whose QR factor R is
+computed once per run (standardized_block); each term solves its fit on
+R's columns, which is the fit over all samples exactly, with lstsq's
+rank cutoff for the N-row problem, and then makes one pass over the
+samples to form its reconstruction. The reconstruction is binned so
+that values tied up to rounding stay one level, whichever solver
+computed them (data.tied_equal_frequency_codes). The diagnostics read
+the same label fit (r_balance) and the same feature correlation matrix
+that assigns subsets (partition_correlation).
 
 Per-subset accounting: a subset created from feature x starts at the
 plug-in estimate I(x:y). When feature x joins an existing subset S, the
@@ -25,11 +32,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import _discretize_column, discretize, standardize_column
+from .data import discretize, tied_equal_frequency_codes
 from .infotheory import entropy, information_from_entropies, joint_entropy
 
 
 SCALE_MAX_STEPS = 100
+_EPS = np.finfo(np.float64).eps
 
 
 class HofsError(ValueError):
@@ -83,32 +91,68 @@ def logistic_scale(signal):
                              "steps" % SCALE_MAX_STEPS)
 
 
-def label_conditional_entropy(columns, label_std, labels, bins):
+def standardized_block(data):
+    """The run's standardized columns as one block, and its QR factor.
+
+    Returns (block, R). block is (m+1, N) float64: row j is feature j
+    at zero mean and unit variance (zeros for a constant column), and
+    row m is the standardized label (zeros for a constant label). R is
+    the upper triangular factor of block.T = QR, (m+1, m+1) when
+    N > m, computed once; the transposed view is Fortran-ordered, so qr
+    takes it without a C-order copy.
+    """
+    block = np.empty((data.n_features + 1, data.n_samples))
+    for row, col in zip(block, [*data.columns,
+                                data.labels.astype(np.float64)]):
+        sd = float(np.std(col))
+        if sd <= 1e-12:
+            row[:] = 0.0
+        else:
+            np.subtract(col, col.mean(), out=row)
+            row /= sd
+    return block, np.linalg.qr(block.T, mode="r")
+
+
+def label_conditional_entropy(block, R, idx, labels, bins):
     """Conditional label entropy given a linear reconstruction of the label.
 
-    One least-squares fit of the standardized label on the stacked
-    columns gives the reconstruction. When it varies, the estimate is
-    the plug-in conditional entropy of the class codes given the binned
-    reconstruction, which keeps every entropy in the score on one
-    discrete scale. When the reconstruction is numerically constant the
-    linear fit carries no information, and the estimate falls back to
-    the histogram entropy of the unit-variance residual plus the log of
-    its spread, minus the log of its logistic scale (solved here and only
-    here by logistic_scale); a residual more concentrated than its
-    spread implies (as in parity interactions) still lowers that
-    fallback below the marginal entropy.
+    The reconstruction is the least-squares fit of the standardized
+    label (block's last row) on the feature rows idx of block. It is
+    solved on the small factor R of standardized_block: block.T = QR
+    with orthonormal Q, so min |X_idx b - s| over N samples is
+    min |R[:, idx] b - R[:, m]| over m+1 rows, with the same solution.
+    R[:, idx] has the singular values of X_idx, and rcond is lstsq's
+    default for the N-row problem, eps * max(N, k), so the rank cutoff
+    is the one an lstsq over N would apply. The reconstruction is then
+    one pass over N, the sum of b_j times block row j, and its variance
+    is |R[:, idx] b|^2 / N, since the block rows have zero mean.
+
+    When it varies, the estimate is the plug-in conditional entropy of
+    the class codes given the reconstruction, binned at equal frequency
+    by tied_equal_frequency_codes so that levels tied up to rounding
+    stay one level whichever solver computed them; that keeps every
+    entropy in the score on one discrete scale. When the reconstruction
+    is numerically constant the linear fit carries no information, and
+    the estimate falls back to the histogram entropy of the
+    unit-variance residual plus the log of its spread, minus the log of
+    its logistic scale (solved here and only here by logistic_scale); a
+    residual more concentrated than its spread implies (as in parity
+    interactions) still lowers that fallback below the marginal entropy.
     """
-    X = np.column_stack(columns)
-    beta, _, _, _ = np.linalg.lstsq(X, label_std, rcond=None)
-    recon = X @ beta
-    if float(recon.var()) < 1e-12:
-        resid = label_std - recon
+    n = block.shape[1]
+    R_idx = R[:, idx]
+    beta = np.linalg.lstsq(R_idx, R[:, -1], rcond=_EPS * max(n, len(idx)))[0]
+    recon = beta[0] * block[idx[0]]
+    for b, j in zip(beta[1:], idx[1:]):
+        recon += b * block[j]
+    fit = R_idx @ beta
+    if float(fit @ fit) / n < 1e-12:
+        resid = block[-1] - recon
         sd = math.sqrt(float(resid.var()))
         s = resid / sd
         return (signal_entropy(s, bins) + math.log(sd)
                 - math.log(logistic_scale(s)))
-    codes, _ = _discretize_column(recon, "continuous", bins,
-                                  "equal_frequency")
+    codes = tied_equal_frequency_codes(recon, bins)
     return joint_entropy([codes, labels]) - entropy(codes)
 
 
@@ -176,13 +220,6 @@ class SelectionTrace:
     config: dict = field(default_factory=dict)
 
 
-def _standardized(col):
-    """Zero-mean, unit-variance copy of a column; zeros for a constant one."""
-    if float(np.std(col)) <= 1e-12:
-        return np.zeros(len(col))
-    return standardize_column(col)
-
-
 def correlation_matrix(data):
     """Signed Pearson correlations between the feature columns.
 
@@ -196,21 +233,20 @@ def correlation_matrix(data):
 
 
 class _EngineState:
-    """Per-run caches: discretized view, standardized columns, per-feature
-    entropies and relevances, the signed correlation matrix, and
-    memoized conditional terms."""
+    """Per-run caches: discretized view, the standardized block and its QR
+    factor (standardized_block; stdcols and label_std are its rows),
+    per-feature entropies and relevances, the signed correlation matrix,
+    and memoized conditional terms."""
 
     def __init__(self, data, config):
         self.config = config
         self.view = discretize(data, bins=config.bins)
         self.labels = data.labels
-        self.stdcols = [_standardized(col) for col in data.columns]
+        self.block, self.R = standardized_block(data)
+        self.stdcols = self.block[:-1]
+        self.label_std = self.block[-1]
         self.constant = [not col.any() for col in self.stdcols]
-        self.label_constant = len(np.unique(data.labels)) < 2
-        if self.label_constant:
-            self.label_std = np.zeros(data.n_samples)
-        else:
-            self.label_std = standardize_column(data.labels.astype(np.float64))
+        self.label_constant = not self.label_std.any()
         # H(x) and H(x,y) per feature, counted once: the relevance
         # I(x:y) sums them with H(y), and every conditional term of x
         # reads them again
@@ -239,8 +275,8 @@ class _EngineState:
             self.term_cache[key] = 0.0
             return 0.0
         cond_h = label_conditional_entropy(
-            [self.stdcols[f] for f in [*subset.feature_ids, candidate]],
-            self.label_std, self.labels, self.config.bins)
+            self.block, self.R, [*subset.feature_ids, candidate],
+            self.labels, self.config.bins)
         term = -self.h_x[candidate] + self.h_xy[candidate] - cond_h
         self.term_cache[key] = term
         return term
@@ -398,15 +434,14 @@ def r_balance(partition, data, config=None, per_subset=False):
         if per_subset:
             return float("nan"), [None] * len(partition.subsets)
         return float("nan")
-    label_std = standardize_column(labels.astype(np.float64))
+    block, R = standardized_block(data)
     ratios = []
     detail = []
     for sub in partition.subsets:
         cols = [view.codes[f] for f in sub.feature_ids]
         num = joint_entropy(cols + [labels]) - joint_entropy(cols)
-        den = label_conditional_entropy(
-            [_standardized(data.columns[f]) for f in sub.feature_ids],
-            label_std, labels, config.bins)
+        den = label_conditional_entropy(block, R, list(sub.feature_ids),
+                                        labels, config.bins)
         if abs(den) < 1e-9:
             warnings.warn("subset %r excluded from balance ratio: "
                           "near-zero conditional entropy" %

@@ -217,3 +217,33 @@ def triangular_unmixing(columns):
         W[j, :j + 1] = (row * 1e-8 if resid_var < 1e-9
                         else row / math.sqrt(resid_var))
     return W, [X[:, :j + 1] @ W[j, :j + 1] for j in range(d)]
+
+
+def tied_quantile_codes(values, bins):
+    """Equal-frequency codes whose edges never split a run of tied values.
+
+    The edges are np.quantile's at 1/B..(B-1)/B. A run is a maximal
+    stretch of the sorted values whose neighbours differ by at most
+    1e-10 of the range. An edge above the first value of a run and at
+    or below its last moves down to that first value, found by walking
+    the sorted values one neighbour at a time. A value's code is the
+    number of distinct edges at or below it. A range below 1e-12 is one
+    level.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    s = np.sort(v)
+    span = float(s[-1] - s[0])
+    if span < 1e-12:
+        return np.zeros(v.shape[0], dtype=np.int64)
+    tol = 1e-10 * span
+    edges = set()
+    for e in np.quantile(v, np.arange(1, bins) / bins):
+        i = int(np.searchsorted(s, e))
+        # s[i - 1] < e <= s[i]: inside a run when the two are one run
+        if i > 0 and s[i] - s[i - 1] <= tol:
+            while i > 0 and s[i] - s[i - 1] <= tol:
+                i -= 1
+            e = s[i]
+        edges.add(float(e))
+    edges = np.array(sorted(edges))
+    return (v[:, None] >= edges[None, :]).sum(axis=1).astype(np.int64)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from hofsel.data import (
     DataError,
     DataTable,
@@ -9,6 +10,7 @@ from hofsel.data import (
     load_csv,
     standardize,
     standardize_column,
+    tied_equal_frequency_codes,
     write_csv,
 )
 
@@ -222,3 +224,59 @@ class TestDiscretize:
             discretize(small_table(), bins=1)
         with pytest.raises(DataError):
             discretize(small_table(), bins=5, scheme="mystery")
+
+
+def same_partition(a, b):
+    """Two codings that group the samples alike, whatever the code values."""
+    pairs = np.unique(np.stack([a, b]), axis=1)
+    return (pairs.shape[1] == np.unique(a).size == np.unique(b).size)
+
+
+class TestTiedCodes:
+    def test_distinct_values_bin_as_discretize_does(self):
+        rng = np.random.default_rng(5)
+        for bins in (2, 5, 9):
+            x = rng.normal(size=3000)
+            codes, _ = _discretize_column(x, "continuous", bins,
+                                          "equal_frequency")
+            assert np.array_equal(tied_equal_frequency_codes(x, bins), codes)
+
+    def test_levels_split_by_rounding_stay_one_level(self):
+        # three levels, each spread over a few values 1e-16 apart, as a
+        # least-squares reconstruction leaves them
+        rng = np.random.default_rng(0)
+        level = np.repeat([-1.06, 0.0, 1.06], [400, 200, 400])
+        col = level + rng.choice([-2.2e-16, 0.0, 2.2e-16], size=level.size)
+        assert np.unique(col).size > 3
+        codes = tied_equal_frequency_codes(col, 5)
+        assert same_partition(codes, np.unique(level, return_inverse=True)[1])
+        split, _ = _discretize_column(col, "continuous", 5,
+                                      "equal_frequency")
+        assert np.unique(split).size > 3
+
+    def test_matches_oracle_walk(self):
+        rng = np.random.default_rng(11)
+        makers = [
+            lambda n: rng.normal(size=n),
+            lambda n: rng.integers(0, 4, size=n) * 0.7
+            + rng.normal(scale=1e-15, size=n),
+            lambda n: np.concatenate([rng.normal(size=n // 2),
+                                      np.full(n - n // 2, 0.3)
+                                      + rng.normal(scale=1e-14,
+                                                   size=n - n // 2)]),
+            lambda n: rng.choice([0.0, 1.0, 7.0], size=n,
+                                 p=[0.9, 0.07, 0.03]),
+        ]
+        for trial in range(80):
+            n = int(rng.integers(2, 2001))
+            bins = int(rng.integers(2, 12))
+            col = makers[trial % len(makers)](n)
+            codes = tied_equal_frequency_codes(col, bins)
+            ref = oracles.tied_quantile_codes(col, bins)
+            assert same_partition(codes, ref), (trial, n, bins)
+            assert codes.min() == 0 and np.unique(codes).size == \
+                codes.max() + 1
+
+    def test_constant_column_is_one_level(self):
+        col = np.full(50, 0.3) + np.tile([0.0, 1e-14], 25)
+        assert not tied_equal_frequency_codes(col, 5).any()

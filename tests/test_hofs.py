@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from hofsel import hofs
-from hofsel.data import DataTable, _discretize_column
+from hofsel.data import DataTable
 from hofsel.hofs import (
     HofsConfig,
     HofsError,
@@ -449,6 +449,12 @@ class TestDiagnostics:
         assert max_between == 0.0
 
 
+def binned_entropy(recon, labels, bins):
+    """H(y | recon) with recon binned by the oracle's tie rule."""
+    codes = oracles.tied_quantile_codes(recon, bins)
+    return joint_entropy([codes, labels]) - entropy(codes)
+
+
 def unmixing_route_entropy(columns, label_std, labels, bins):
     """Conditional label entropy read off a triangular unmixing model.
 
@@ -464,9 +470,43 @@ def unmixing_route_entropy(columns, label_std, labels, bins):
         return (signal_entropy(signals[-1], bins)
                 - math.log(abs(w_last[-1]))
                 - math.log(logistic_scale(signals[-1]))), True
-    codes, _ = _discretize_column(recon, "continuous", bins,
-                                  "equal_frequency")
-    return joint_entropy([codes, labels]) - entropy(codes), False
+    return binned_entropy(recon, labels, bins), False
+
+
+def fitted_route_entropy(beta, X, label_std, labels, bins):
+    """Conditional label entropy of the reconstruction X @ beta, with the
+    fallback of label_conditional_entropy for a constant one."""
+    recon = X @ beta
+    if float(recon.var()) < 1e-12:
+        resid = label_std - recon
+        sd = math.sqrt(float(resid.var()))
+        s = resid / sd
+        return (signal_entropy(s, bins) + math.log(sd)
+                - math.log(logistic_scale(s)))
+    return binned_entropy(recon, labels, bins)
+
+
+def enumerated_terms(table, T, config):
+    """Every prefix of every subset run_hofs selects, with every other
+    non-constant feature as the candidate: (state, prefix + [candidate]).
+    Covers hetero's degenerate {F1, F6, F2} row and xnor's constant
+    reconstruction."""
+    state = _EngineState(table, config)
+    partition, _ = run_hofs(table, T, config)
+    for sub in partition.subsets:
+        for k in range(1, len(sub.feature_ids) + 1):
+            prefix = sub.feature_ids[:k]
+            if any(state.constant[f] for f in prefix):
+                continue
+            for cand in range(table.n_features):
+                if cand in prefix or state.constant[cand]:
+                    continue
+                yield state, prefix + [cand]
+
+
+def engine_entropy(state, idx):
+    return label_conditional_entropy(state.block, state.R, idx, state.labels,
+                                     state.config.bins)
 
 
 class TestLabelFit:
@@ -476,33 +516,112 @@ class TestLabelFit:
         (xnor_table, 2, 1),
     ], ids=["tree-5k", "hetero", "xnor"])
     def test_one_solve_matches_unmixing_route(self, make, T, min_fallbacks):
-        # every prefix of every selected subset, against every other
-        # non-constant feature, covers hetero's degenerate {F1, F6, F2}
-        # row and xnor's constant reconstruction
-        table = make()
         config = HofsConfig()
-        state = _EngineState(table, config)
-        partition, _ = run_hofs(table, T, config)
         compared = 0
         fallbacks = 0
-        for sub in partition.subsets:
-            for k in range(1, len(sub.feature_ids) + 1):
-                prefix = sub.feature_ids[:k]
-                if any(state.constant[f] for f in prefix):
-                    continue
-                for cand in range(table.n_features):
-                    if cand in prefix or state.constant[cand]:
-                        continue
-                    columns = [state.stdcols[f] for f in prefix + [cand]]
-                    ref, fell_back = unmixing_route_entropy(
-                        columns, state.label_std, state.labels, config.bins)
-                    got = label_conditional_entropy(
-                        columns, state.label_std, state.labels, config.bins)
-                    assert abs(got - ref) <= 1e-12
-                    compared += 1
-                    fallbacks += fell_back
+        for state, idx in enumerated_terms(make(), T, config):
+            ref, fell_back = unmixing_route_entropy(
+                [state.stdcols[f] for f in idx], state.label_std,
+                state.labels, config.bins)
+            assert abs(engine_entropy(state, idx) - ref) <= 1e-12
+            compared += 1
+            fallbacks += fell_back
         assert compared > 0
         assert fallbacks >= min_fallbacks
+
+    def test_levels_tied_up_to_rounding_bin_as_one(self):
+        # {F3, F8} + F6 reconstructs the label on 3 levels (400/200/400
+        # samples); an N-row lstsq spreads them over 5 values by rounding,
+        # which read 0.3819 nats when each value was binned as a level
+        state = _EngineState(gen_hetero(HeteroModelSpec(seed=0)),
+                             HofsConfig())
+        assert abs(engine_entropy(state, [2, 7, 5])
+                   - 0.8 * math.log(2)) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_engine_matches_lstsq_and_normal_equations(self, seed):
+        # three solvers with three roundings; under the tie rule they read
+        # one entropy on every term (at one time the lstsq and normal
+        # equation routes differed by 1.7e-4 on seed 2's {F1, F6} + F11)
+        config = HofsConfig()
+        compared = 0
+        for state, idx in enumerated_terms(
+                gen_hetero(HeteroModelSpec(seed=seed)), 14, config):
+            X = np.column_stack([state.stdcols[f] for f in idx])
+            s = state.label_std
+            by_lstsq = np.linalg.lstsq(X, s, rcond=None)[0]
+            by_gram = np.linalg.lstsq(X.T @ X, X.T @ s, rcond=None)[0]
+            got = engine_entropy(state, idx)
+            for beta in (by_lstsq, by_gram):
+                ref = fitted_route_entropy(beta, X, s, state.labels,
+                                           config.bins)
+                assert abs(got - ref) <= 1e-12
+            compared += 1
+        assert compared > 100
+
+    def test_nearly_collinear_pair_keeps_the_label_signal(self):
+        # x and x + 1e-8 n with the label 1[n > 0]: only the difference of
+        # the columns carries the label. A normal-equations solve squares
+        # the condition number (~1e16) and reconstructs noise (corr 0.001
+        # with the label); a solve on the data or on its QR factor reads
+        # corr ~0.8
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=20000)
+        noise = rng.normal(size=20000)
+        table = DataTable(columns=[x, x + 1e-8 * noise],
+                          feature_names=["x", "x_n"],
+                          feature_kinds=["continuous"] * 2,
+                          labels=(noise > 0).astype(np.int64))
+        state = _EngineState(table, HofsConfig())
+        assert engine_entropy(state, [0, 1]) < 0.5 * math.log(2)
+        assert state.conditional_term(Subset([0], 0.0), 1) > 0.3
+
+    def test_one_factor_per_run_and_one_fit_per_term_miss(self, small_tree,
+                                                           monkeypatch):
+        # the hook points the benchmark reads: label_conditional_entropy
+        # is looked up in the hofs namespace once per term miss, no lstsq
+        # sees the N sample rows, and the QR factor is computed once
+        n = small_tree.n_samples
+        calls = {"lce": 0, "qr": 0, "lstsq_rows": []}
+        lce = hofs.label_conditional_entropy
+        qr = np.linalg.qr
+        lstsq = np.linalg.lstsq
+
+        def counted_lce(*args, **kwargs):
+            calls["lce"] += 1
+            return lce(*args, **kwargs)
+
+        def counted_qr(a, *args, **kwargs):
+            calls["qr"] += 1
+            return qr(a, *args, **kwargs)
+
+        def counted_lstsq(a, *args, **kwargs):
+            calls["lstsq_rows"].append(np.shape(a)[0])
+            return lstsq(a, *args, **kwargs)
+
+        monkeypatch.setattr(hofs, "label_conditional_entropy", counted_lce)
+        monkeypatch.setattr(np.linalg, "qr", counted_qr)
+        monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+        partition, trace = run_hofs(small_tree, 9, HofsConfig())
+
+        # distinct (subset members, candidate) keys looked up in the run
+        members = []
+        misses = set()
+        for step in trace.steps:
+            for cand, part in step.score_parts.items():
+                for j in part["terms"]:
+                    misses.add((tuple(members[j]), cand))
+            if step.created_new_subset:
+                members.append([step.chosen])
+            else:
+                members[step.subset_index].append(step.chosen)
+        assert [list(m) for m in members] == \
+            [s.feature_ids for s in partition.subsets]
+        assert len(misses) > 0
+        assert calls["lce"] == len(misses)
+        assert calls["qr"] == 1
+        assert len(calls["lstsq_rows"]) == len(misses)
+        assert n not in calls["lstsq_rows"]
 
 
 def std(col):
