@@ -251,23 +251,24 @@ def load_csv(path, label_column, delimiter=",", has_header=True,
 
 
 def write_csv(table, path, label_name="label"):
-    """Write a DataTable as delimited text that load_csv round-trips."""
+    """Write a DataTable as delimited text that load_csv round-trips.
+
+    Integral categorical values are written as integers and every other
+    value as repr(float). Each column is converted to Python objects once,
+    and the rows are written in one writerows call."""
+    cols = []
+    for kind, col in zip(table.feature_kinds, table.columns):
+        values = np.asarray(col, dtype=np.float64).tolist()
+        if kind == CATEGORICAL:
+            values = ["%d" % v if v.is_integer() else repr(v)
+                      for v in values]
+        cols.append(values)
+    names = table.label_values
+    cols.append([names[k] for k in table.labels.tolist()])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(table.feature_names) + [label_name])
-        cols = table.columns
-        labels = table.labels
-        values = table.label_values
-        for i in range(table.n_samples):
-            row = []
-            for j, col in enumerate(cols):
-                v = col[i]
-                if table.feature_kinds[j] == CATEGORICAL and float(v).is_integer():
-                    row.append("%d" % int(v))
-                else:
-                    row.append(repr(float(v)))
-            row.append(values[labels[i]])
-            writer.writerow(row)
+        writer.writerows(zip(*cols))
 
 
 def standardize(table):

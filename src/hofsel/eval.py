@@ -24,83 +24,140 @@ class LinearModel:
 PROBE_L2 = 1e-3
 PROBE_MAX_STEPS = 50
 PROBE_STEP_TOL = 1e-10
+# cap on the pairwise products of the design that the probe keeps per fit
+_PAIRS_MAX_BYTES = 1 << 26
 
 
-def _softplus_mean(u, e, tmp):
-    """mean(log(1 + exp(u))), stable for any finite u; leaves
-    exp(-|u|) in e."""
-    np.abs(u, out=e)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    total = np.maximum(u, 0.0, out=tmp).sum()
-    total += np.log1p(e, out=tmp).sum()
-    return float(total) / len(u)
+def _softplus_means(U, E, T):
+    """mean(log(1 + exp(u))) along the last axis, stable for any finite
+    u; leaves exp(-|u|) in E. T is scratch of U's shape."""
+    np.abs(U, out=E)
+    np.negative(E, out=E)
+    np.exp(E, out=E)
+    total = np.maximum(U, 0.0, out=T).sum(axis=-1)
+    total += np.log1p(E, out=T).sum(axis=-1)
+    return total / U.shape[-1]
 
 
-def _newton_row(B, penalty):
-    """Newton (IRLS) minimizer of mean(softplus(theta B)) + theta'
-    diag(penalty) theta / 2, from theta = 0.
+def _newton_rows(A, sign, penalty):
+    """Newton (IRLS) minimizers of mean(softplus(sign_k * theta_k A)) +
+    theta_k' diag(penalty) theta_k / 2, one per row k of sign, from 0.
 
-    Column i of B is sample i's augmented features, negated when the
-    sample is in the row's class, so softplus(theta B) is its logistic
-    loss. Each step solves Hessian step = gradient; it is halved while
-    the loss rises by more than its rounding, and an accepted trial's
-    margins are the next iteration's. Returns once max |step| <
-    PROBE_STEP_TOL, that step taken. Raises FloatingPointError for a
-    non-finite step or loss, a stalled line search, or PROBE_MAX_STEPS
-    iterations without convergence.
+    A is (d+1, N); sign is (K, N), -1 where a sample is in row k's class
+    and +1 elsewhere, so softplus(sign_k * theta_k A) is row k's logistic
+    loss. The rows share no parameter; they are solved together so that
+    each iteration is a few calls over a (K, N) stack instead of K loops
+    of calls. Every row's Hessian A diag(w_k) A' / N + diag(penalty) is a
+    weighted sum of the same pairwise products A_i A_j, formed once, so
+    one product w @ pairs' gives all K of them. Those products take
+    (d+2)/2 times the memory of A; above _PAIRS_MAX_BYTES each row's
+    Hessian is formed from A alone instead.
+
+    Each row's step solves Hessian step = gradient. A row with max |step|
+    < PROBE_STEP_TOL returns theta - step and leaves the working set.
+    Otherwise the step is halved, for that row alone, while its loss
+    rises by more than its rounding, and an accepted trial's margins are
+    that row's next ones. Raises FloatingPointError for a non-finite step
+    or loss, a stalled line search, or a row still moving after
+    PROBE_MAX_STEPS iterations. Returns theta, (K, d+1); sign's rows
+    are reordered in place.
     """
-    d1, n = B.shape
+    d1, n = A.shape
+    K = len(sign)
+    iu, ju = np.triu_indices(d1)
+    if len(iu) * n * 8 <= _PAIRS_MAX_BYTES:
+        # pairs[sym[i, j]] is A_i A_j, each product formed once
+        sym = np.empty((d1, d1), dtype=np.intp)
+        sym[iu, ju] = sym[ju, iu] = np.arange(len(iu))
+        pairs = np.empty((len(iu), n))
+        at = 0
+        for i in range(d1):
+            np.multiply(A[i:], A[i], out=pairs[at:at + d1 - i])
+            at += d1 - i
+    else:
+        pairs, weighted = None, np.empty_like(A)
     ridge = np.diag(penalty)
-    theta = np.zeros(d1)
-    # N-length buffers live across iterations: at N = 100k a fresh array
-    # per pass costs more than the pass itself
-    u, u_new = np.zeros(n), np.empty(n)
-    e, e_new = np.empty(n), np.empty(n)
-    s, q, tmp = np.empty(n), np.empty(n), np.empty(n)
-    weighted = np.empty_like(B)
-    loss = _softplus_mean(u, e, tmp)
+    out = np.empty((K, d1))
+    rows = np.arange(K)
+    theta = np.zeros((K, d1))
+    # (K, N) buffers live across iterations: at N = 100k a fresh array
+    # per pass costs more than the pass itself. The working rows are the
+    # first len(rows) of each buffer and of sign.
+    U, U_new = np.zeros((K, n)), np.empty((K, n))
+    E, E_new = np.empty((K, n)), np.empty((K, n))
+    Q, T = np.empty((K, n)), np.empty((K, n))
+    loss = _softplus_means(U, E, T)
     for _ in range(PROBE_MAX_STEPS):
+        k = len(rows)
+        u, e, q, t = U[:k], E[:k], Q[:k], T[:k]
         # q = sigmoid(u) is s = 1 / (1 + e) for u >= 0 and 1 - s below;
-        # the gradient is B q / N + penalty theta, and q (1 - q) = e s^2
-        # weights the Hessian B diag(q (1 - q)) B' / N + diag(penalty)
-        np.add(e, 1.0, out=s)
-        np.reciprocal(s, out=s)
-        np.subtract(s, 0.5, out=q)
+        # q (1 - q) = e s^2 weights the Hessian, and the gradient is
+        # (sign q) A' / N + penalty theta
+        np.add(e, 1.0, out=q)
+        np.reciprocal(q, out=q)
+        np.multiply(e, q, out=t)
+        t *= q
+        if pairs is not None:
+            hess = np.dot(t, pairs.T)[:, sym]
+        else:
+            hess = np.empty((k, d1, d1))
+            for r in range(k):
+                np.multiply(A, t[r], out=weighted)
+                np.dot(weighted, A.T, out=hess[r])
+        hess /= n
+        hess += ridge
+        q -= 0.5
         np.copysign(q, u, out=q)
         q += 0.5
-        grad = np.dot(B, q) / n + penalty * theta
-        np.multiply(e, s, out=tmp)
-        tmp *= s
-        np.multiply(B, tmp, out=weighted)
-        hess = np.dot(weighted, B.T) / n + ridge
-        step = np.linalg.solve(hess, grad)
+        q *= sign[:k]
+        grad = np.dot(q, A.T) / n + penalty * theta
+        step = np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
         if not np.isfinite(step).all():
             raise FloatingPointError("probe Newton step is non-finite")
-        if np.abs(step).max() < PROBE_STEP_TOL:
-            return theta - step
-        while True:
-            trial = theta - step
-            np.dot(trial, B, out=u_new)
-            loss_new = (_softplus_mean(u_new, e_new, tmp)
-                        + 0.5 * float(penalty @ (trial * trial)))
-            if not np.isfinite(loss_new):
-                raise FloatingPointError("probe loss is non-finite")
-            if loss_new <= loss + 1e-14 * loss:
-                break
-            step *= 0.5
-            if np.abs(step).max() < PROBE_STEP_TOL:
-                raise FloatingPointError("probe line search stalled at "
-                                         "loss %r" % (loss,))
+        done = np.abs(step).max(axis=1) < PROBE_STEP_TOL
+        if done.any():
+            out[rows[done]] = theta[done] - step[done]
+            keep = np.flatnonzero(~done)
+            if not len(keep):
+                return out
+            rows, theta, step, loss = (rows[keep], theta[keep], step[keep],
+                                       loss[keep])
+            # kept rows move to the front in place; a row only moves
+            # forward, so none is overwritten before it is read
+            for i, r in enumerate(keep):
+                if i != r:
+                    U[i], E[i], sign[i] = U[r], E[r], sign[r]
+            k = len(rows)
+        trial = theta - step
+        u_new, e_new, t = U_new[:k], E_new[:k], T[:k]
+        np.dot(trial, A, out=u_new)
+        u_new *= sign[:k]
+        loss_new = (_softplus_means(u_new, e_new, t)
+                    + 0.5 * ((trial * trial) @ penalty))
+        if not np.isfinite(loss_new).all():
+            raise FloatingPointError("probe loss is non-finite")
+        for r in np.flatnonzero(loss_new > loss + 1e-14 * loss):
+            while loss_new[r] > loss[r] + 1e-14 * loss[r]:
+                step[r] *= 0.5
+                if np.abs(step[r]).max() < PROBE_STEP_TOL:
+                    raise FloatingPointError("probe line search stalled "
+                                             "at loss %r" % (loss[r],))
+                trial[r] = theta[r] - step[r]
+                np.dot(trial[r], A, out=u_new[r])
+                u_new[r] *= sign[r]
+                loss_new[r] = (_softplus_means(u_new[r], e_new[r], t[r])
+                               + 0.5 * float(penalty @ (trial[r] ** 2)))
+                if not np.isfinite(loss_new[r]):
+                    raise FloatingPointError("probe loss is non-finite")
         theta, loss = trial, loss_new
-        u, u_new = u_new, u
-        e, e_new = e_new, e
+        U, U_new = U_new, U
+        E, E_new = E_new, E
     raise FloatingPointError("probe did not converge in %d Newton steps"
                              % PROBE_MAX_STEPS)
 
 
 def _train_ovr(A, y, n_classes):
-    """One-vs-rest rows of the probe, each solved apart by _newton_row.
+    """One-vs-rest rows of the probe, solved together by _newton_rows.
 
     A is the augmented, transposed design (d+1, N) with ones in the last
     row, so the bias is the last weight column and the only one free of
@@ -118,14 +175,11 @@ def _train_ovr(A, y, n_classes):
     penalty[-1] = 0.0
     binary = n_classes == 2
     theta = np.zeros((n_classes, d1))
-    B = np.empty_like(A)
-    for k in ([1] if binary else range(n_classes)):
-        in_class = y == k
-        if not in_class.any():
-            theta[k, -1] = -np.inf
-            continue
-        np.multiply(A, np.where(in_class, -1.0, 1.0), out=B)
-        theta[k] = _newton_row(B, penalty)
+    present = np.bincount(y, minlength=n_classes) > 0
+    theta[~present, -1] = -np.inf
+    solved = np.array([1]) if binary else np.flatnonzero(present)
+    theta[solved] = _newton_rows(
+        A, np.where(y == solved[:, None], -1.0, 1.0), penalty)
     if binary:
         theta[0] = -theta[1]
     return theta[:, :-1], theta[:, -1]
@@ -150,10 +204,11 @@ def train_linear(X, y, n_classes):
         raise EvalError("feature matrix holds NaN or inf")
     n, d = X.shape
     n_classes = int(n_classes)
-    present = np.unique(y)
-    if len(present) < 2:
+    # the label range suffices; np.unique would hash every label
+    lo, hi = (int(y.min()), int(y.max())) if n else (0, 0)
+    if lo == hi:
         raise EvalError("training split contains a single class")
-    if present[0] < 0 or present[-1] >= n_classes:
+    if lo < 0 or hi >= n_classes:
         raise EvalError("labels outside [0, %d)" % (n_classes,))
     mean = X.mean(axis=0)
     std = X.std(axis=0)

@@ -203,6 +203,10 @@ class SubsetPartition:
 
 @dataclass
 class StepRecord:
+    """One greedy step. The candidates scored at the step are held as
+    arrays aligned with candidates: their scores and relevances, and
+    terms[i, j], candidate i's conditional term for subset j."""
+
     step: int
     chosen: int
     created_new_subset: bool
@@ -210,8 +214,23 @@ class StepRecord:
     maxcov: float
     gain: float
     total_mi: float
-    candidate_scores: dict = field(default_factory=dict)
-    score_parts: dict = field(default_factory=dict)
+    candidates: np.ndarray
+    scores: np.ndarray
+    relevances: np.ndarray
+    terms: np.ndarray
+
+    @property
+    def candidate_scores(self):
+        """{candidate: score}."""
+        return dict(zip(self.candidates.tolist(), self.scores.tolist()))
+
+    @property
+    def score_parts(self):
+        """{candidate: {"relevance": r, "terms": {subset index: term}}}."""
+        return {c: {"relevance": r, "terms": dict(enumerate(row))}
+                for c, r, row in zip(self.candidates.tolist(),
+                                     self.relevances.tolist(),
+                                     self.terms.tolist())}
 
 
 @dataclass
@@ -368,34 +387,28 @@ def run_hofs(data, T, config=None):
     total = 0.0
     selected = set()
     for t in range(1, T + 1):
-        best = None
-        best_score = None
-        cand_scores = {}
-        parts = {}
-        for cand in range(m):
-            if cand in selected:
-                continue
-            rel = float(state.rel[cand])
-            terms = {}
+        cands = [c for c in range(m) if c not in selected]
+        scores = np.empty(len(cands))
+        terms = np.empty((len(cands), partition.n_subsets))
+        for i, cand in enumerate(cands):
             surplus = 0.0
             for j, sub in enumerate(partition.subsets):
                 term = _require_finite(state.conditional_term(sub, cand),
                                        cand, t, subset=j)
-                terms[j] = term
+                terms[i, j] = term
                 surplus += max(0.0, term - sub.mi_estimate)
-            score = _require_finite(rel + surplus, cand, t)
-            cand_scores[cand] = score
-            parts[cand] = {"relevance": rel, "terms": terms}
-            if best_score is None or score > best_score:
-                best = cand
-                best_score = score
+            scores[i] = _require_finite(float(state.rel[cand]) + surplus,
+                                        cand, t)
+        # the first maximum: ties go to the lowest index
+        best = cands[int(np.argmax(scores))]
         idx, created, maxcov, gain = state.commit(partition, best)
         selected.add(best)
         total += gain
         steps.append(StepRecord(
             step=t, chosen=best, created_new_subset=created,
             subset_index=idx, maxcov=maxcov, gain=gain, total_mi=total,
-            candidate_scores=cand_scores, score_parts=parts))
+            candidates=np.array(cands), scores=scores,
+            relevances=state.rel[cands], terms=terms))
     trace = SelectionTrace(steps=steps, config={
         "T": T, "C": config.C, "bins": config.bins})
     return partition, trace

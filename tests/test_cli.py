@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import hofsel
 from hofsel.cli import _atomic_write, main
 from hofsel.data import load_csv
 from hofsel.synth import TreeModelSpec, gen_tree
@@ -262,3 +265,14 @@ class TestTopLevel:
         assert result.exit_code == 0
         for cmd in ("select", "synth", "bench", "diagnose"):
             assert cmd in result.output
+
+    def test_module_entry_point(self):
+        # python -m hofsel runs the same command line as the hofsel script
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(hofsel.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        result = subprocess.run([sys.executable, "-m", "hofsel", "--help"],
+                                env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("Usage: hofsel ")

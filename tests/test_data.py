@@ -35,6 +35,23 @@ class TestLoadCsv:
         for ours, theirs in zip(back.columns, table.columns):
             assert np.allclose(ours, theirs, atol=1e-12)
 
+    def test_written_text(self, tmp_path):
+        # integral categorical values as integers, every other value as
+        # repr(float), labels by name, quoted where csv needs it
+        table = DataTable(
+            columns=[np.array([0.1, -2.0, 1e-05, 3.0]),
+                     np.array([0.0, 2.0, 1.5, -1.0])],
+            feature_names=["a", "b"],
+            feature_kinds=["continuous", "categorical"],
+            labels=np.array([1, 0, 1, 2], dtype=np.int64),
+            label_values=["no", "yes", "a,b"])
+        path = tmp_path / "text.csv"
+        write_csv(table, str(path), label_name="y")
+        with open(path, newline="") as fh:
+            text = fh.read()
+        assert text == ("a,b,y\r\n0.1,0,yes\r\n-2.0,2,no\r\n"
+                        "1e-05,1.5,yes\r\n3.0,-1,\"a,b\"\r\n")
+
     def test_kind_inference(self, tmp_path):
         path = tmp_path / "kinds.csv"
         lines = ["x,y,label"]

@@ -7,6 +7,7 @@ import pytest
 import oracles
 from hofsel.data import DataTable, discretize
 from hofsel.eval import (
+    PROBE_L2,
     EvalError,
     cross_validate,
     default_k_values,
@@ -175,6 +176,14 @@ class TestProbe:
         with pytest.raises(FloatingPointError, match="did not converge"):
             train_linear(X, y, 2)
 
+    def test_unconverged_solve_raises_with_five_classes(self, monkeypatch):
+        import hofsel.eval as evaluation
+        monkeypatch.setattr(evaluation, "PROBE_MAX_STEPS", 2)
+        rng = np.random.default_rng(17)
+        X, y = blob_data(rng, 40, 5)
+        with pytest.raises(FloatingPointError, match="did not converge"):
+            train_linear(X, y, 5)
+
     def test_standardization_is_learned_from_train(self):
         rng = np.random.default_rng(3)
         X, y = blob_data(rng, 80, 2)
@@ -182,6 +191,67 @@ class TestProbe:
         shifted = train_linear(X * 100.0 + 7.0, y, 2)
         assert error_rate(model, X, y) == pytest.approx(
             error_rate(shifted, X * 100.0 + 7.0, y), abs=1e-9)
+
+
+def cauchy_rows():
+    """A (d+1, N) design from 900 Cauchy samples of 10 features with five
+    linear classes, the sign matrix of its one-vs-rest rows, and the probe
+    penalty."""
+    rng = np.random.default_rng(37)
+    X = rng.standard_cauchy(size=(900, 10))
+    y = np.argmax(X @ rng.normal(size=(10, 5)) + rng.gumbel(size=(900, 5)),
+                  axis=1)
+    A = np.vstack([((X - X.mean(axis=0)) / X.std(axis=0)).T, np.ones(900)])
+    sign = np.where(y == np.arange(5)[:, None], -1.0, 1.0)
+    penalty = np.append(np.full(10, PROBE_L2), 0.0)
+    return X, y, A, sign, penalty
+
+
+class TestBatchedRows:
+    def test_rows_solved_together_match_rows_solved_alone(self, monkeypatch):
+        import hofsel.eval as evaluation
+        X, y, A, sign, penalty = cauchy_rows()
+        # every loss evaluation over a (rows, N) stack is one Newton
+        # iteration (after the one at zero); one over a single row's
+        # margins is a halved step
+        shapes = []
+        losses = evaluation._softplus_means
+
+        def recorded(U, E, T):
+            shapes.append(U.shape)
+            return losses(U, E, T)
+
+        monkeypatch.setattr(evaluation, "_softplus_means", recorded)
+        alone, iterations, halvings = [], [], []
+        for k in range(5):
+            shapes.clear()
+            alone.append(evaluation._newton_rows(A, sign[k:k + 1].copy(),
+                                                 penalty)[0])
+            iterations.append(sum(len(s) == 2 for s in shapes) - 1)
+            halvings.append(sum(len(s) == 1 for s in shapes))
+        # the rows stop at different iterations, and one row alone halves
+        # its step while the others accept every full step
+        assert len(set(iterations)) > 1
+        assert sum(h > 0 for h in halvings) == 1
+        shapes.clear()
+        together = evaluation._newton_rows(A, sign.copy(), penalty)
+        assert np.abs(together - np.array(alone)).max() <= 1e-12
+        stack = [s[0] for s in shapes if len(s) == 2]
+        assert stack[0] == 5 and stack[-1] == 1
+        assert len(shapes) - len(stack) == sum(halvings)
+        model = train_linear(X, y, 5)
+        assert np.abs(model.weights - together[:, :-1]).max() <= 1e-12
+        assert np.abs(model.bias - together[:, -1]).max() <= 1e-12
+
+    def test_hessians_without_pair_products_agree(self, monkeypatch):
+        # above the memory cap each row's Hessian is formed from A alone
+        import hofsel.eval as evaluation
+        X, y, A, sign, penalty = cauchy_rows()
+        paired = train_linear(X, y, 5)
+        monkeypatch.setattr(evaluation, "_PAIRS_MAX_BYTES", 0)
+        alone = train_linear(X, y, 5)
+        assert np.abs(paired.weights - alone.weights).max() <= 1e-12
+        assert np.abs(paired.bias - alone.bias).max() <= 1e-12
 
 
 class TestFolds:

@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -251,6 +253,34 @@ class TestRunHofs:
         for s1, s2 in zip(t1.steps, t2.steps):
             assert s1.candidate_scores == s2.candidate_scores
 
+    def test_trace_is_compact(self):
+        # each step keeps its scored candidates as arrays, not as one dict
+        # per candidate; the dicts are built only when read
+        table = gen_hetero(HeteroModelSpec())
+        gc.collect()
+        tracemalloc.start()
+        try:
+            partition, trace = run_hofs(table, 20)
+            del partition
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            del trace
+            gc.collect()
+            held -= tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 30 * 1024
+
+    def test_trace_dicts_hold_python_numbers(self, small_tree):
+        _, trace = run_hofs(small_tree, 4, HofsConfig())
+        step = trace.steps[3]
+        assert list(step.candidate_scores) == step.candidates.tolist()
+        for cand, part in step.score_parts.items():
+            assert type(cand) is int
+            assert type(part["relevance"]) is float
+            assert list(part["terms"]) == list(range(step.terms.shape[1]))
+            assert all(type(v) is float for v in part["terms"].values())
+            assert type(step.candidate_scores[cand]) is float
 
     def test_nan_term_raises_naming_feature_and_step(self, small_tree,
                                                      monkeypatch):
