@@ -11,8 +11,7 @@ CLI round it out.
 __version__ = "0.1.0"
 
 from .data import (CATEGORICAL, CONTINUOUS, DataError, DataTable,
-                   DiscretizedView, discretize, load_csv, standardize,
-                   standardize_column, write_csv)
+                   DiscretizedView, discretize, load_csv, write_csv)
 from .infotheory import (EstimatorError, conditional_entropy,
                          conditional_mutual_information, entropy,
                          joint_codes, joint_entropy, mutual_information)
@@ -22,9 +21,8 @@ from .criteria import (CMIM, JMI, KINDS, MIFS, MIM, MRMR, SPECCMI_GREEDY,
 from .synth import (HeteroModelSpec, TreeModelSpec, gen_hetero, gen_tree)
 from .hofs import (HofsConfig, HofsError, SelectionTrace, StepRecord,
                    Subset, SubsetPartition, accumulate_partition,
-                   assign_subset, hofs_score, logistic_scale,
-                   partition_correlation, r_balance, run_hofs,
-                   signal_entropy)
+                   assign_subset, hofs_score, partition_correlation,
+                   r_balance, run_hofs)
 from .eval import (EvalError, LinearModel, cross_validate, error_rate,
                    global_mi, information_gain_curve, predict, train_linear)
 

@@ -1,4 +1,4 @@
-"""Dataset ingestion, standardization, and discretization.
+"""Dataset ingestion and discretization.
 
 Everything downstream (plug-in estimators, label fits, the selection engine)
 works off the two containers defined here: DataTable holds numeric columns
@@ -269,39 +269,6 @@ def write_csv(table, path, label_name="label"):
         writer = csv.writer(fh)
         writer.writerow(list(table.feature_names) + [label_name])
         writer.writerows(zip(*cols))
-
-
-def standardize(table):
-    """Return a copy whose continuous columns have mean 0 and variance 1.
-
-    Categorical columns and labels pass through unchanged. A zero-variance
-    continuous column is an error naming the column.
-    """
-    out = []
-    for name, kind, col in zip(table.feature_names, table.feature_kinds,
-                               table.columns):
-        if kind != CONTINUOUS:
-            out.append(col.copy())
-            continue
-        mu = col.mean()
-        sd = col.std()
-        if sd < 1e-12:
-            raise DataError("zero variance in continuous column %r" % (name,))
-        out.append((col - mu) / sd)
-    return DataTable(columns=out, feature_names=list(table.feature_names),
-                     feature_kinds=list(table.feature_kinds),
-                     labels=table.labels.copy(),
-                     label_values=list(table.label_values),
-                     load_report=dict(table.load_report))
-
-
-def standardize_column(col):
-    """Standardize one vector; constant input is an error."""
-    col = np.asarray(col, dtype=np.float64)
-    sd = col.std()
-    if sd < 1e-12:
-        raise DataError("zero variance column")
-    return (col - col.mean()) / sd
 
 
 def _sorted_quantiles(s, qs):

@@ -11,7 +11,9 @@ R's columns, which is the fit over all samples exactly, with lstsq's
 rank cutoff for the N-row problem, and then makes one pass over the
 samples to form its reconstruction. The reconstruction is binned so
 that values tied up to rounding stay one level, whichever solver
-computed them (data.tied_equal_frequency_codes). The diagnostics read
+computed them (data.tied_equal_frequency_codes). A null fit, as on a
+parity interaction, is answered by the plug-in on the joint code of
+the subset's and candidate's discretized columns. The diagnostics read
 the same label fit (r_balance) and the same feature correlation matrix
 that assigns subsets (partition_correlation).
 
@@ -33,62 +35,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import discretize, tied_equal_frequency_codes
-from .infotheory import entropy, information_from_entropies, joint_entropy
+from .infotheory import (entropy, information_from_entropies, joint_codes,
+                         joint_entropy)
 
 
-SCALE_MAX_STEPS = 100
 _EPS = np.finfo(np.float64).eps
 
 
 class HofsError(ValueError):
     pass
-
-
-def signal_entropy(s, bins):
-    """Plug-in code entropy of an equal-width histogram of the signal.
-
-    A signal with range below 1e-12 counts as constant and has entropy 0.
-    """
-    lo = float(s.min())
-    hi = float(s.max())
-    if hi - lo < 1e-12:
-        return 0.0
-    counts, _ = np.histogram(s, bins=bins, range=(lo, hi))
-    counts = counts[counts > 0]
-    n = counts.sum()
-    return float(np.log(n) - (counts * np.log(counts)).sum() / n)
-
-
-def logistic_scale(signal):
-    """Maximum-likelihood scale of a signal under the logistic prior.
-
-    Maximizes f(w) = mean(log g'(w r)) + log w over w > 0, with g the
-    logistic cdf and r the signal, by full-batch Newton steps from w = 1
-    on the gradient 1/w - mean(r tanh(w r / 2)) and the curvature
-    -1/w^2 - mean(r^2 sech^2(w r / 2)) / 2. f is strictly concave for
-    w > 0, so the maximum is unique; a step that would reach w <= 0
-    halves w instead. Stops when w changes by at most 1e-12 of itself.
-    Raises FloatingPointError for a signal with zero (or non-finite)
-    variance, which has no finite scale, and for a solve still moving
-    after SCALE_MAX_STEPS steps.
-    """
-    r = np.asarray(signal, dtype=np.float64)
-    if not float(r.var()) > 1e-12:
-        raise FloatingPointError("signal has zero variance: no logistic "
-                                 "scale")
-    w = 1.0
-    for _ in range(SCALE_MAX_STEPS):
-        t = np.tanh(0.5 * w * r)
-        grad = 1.0 / w - float(np.mean(r * t))
-        curv = -1.0 / (w * w) - 0.5 * float(np.mean(r * r * (1.0 - t * t)))
-        w_new = w - grad / curv
-        if not w_new > 0.0:
-            w_new = 0.5 * w
-        if abs(w_new - w) <= 1e-12 * w:
-            return w_new
-        w = w_new
-    raise FloatingPointError("logistic scale did not converge in %d Newton "
-                             "steps" % SCALE_MAX_STEPS)
 
 
 def standardized_block(data):
@@ -113,7 +68,7 @@ def standardized_block(data):
     return block, np.linalg.qr(block.T, mode="r")
 
 
-def label_conditional_entropy(block, R, idx, labels, bins):
+def label_conditional_entropy(block, R, idx, view_codes, labels, bins):
     """Conditional label entropy given a linear reconstruction of the label.
 
     The reconstruction is the least-squares fit of the standardized
@@ -123,36 +78,32 @@ def label_conditional_entropy(block, R, idx, labels, bins):
     min |R[:, idx] b - R[:, m]| over m+1 rows, with the same solution.
     R[:, idx] has the singular values of X_idx, and rcond is lstsq's
     default for the N-row problem, eps * max(N, k), so the rank cutoff
-    is the one an lstsq over N would apply. The reconstruction is then
-    one pass over N, the sum of b_j times block row j, and its variance
-    is |R[:, idx] b|^2 / N, since the block rows have zero mean.
+    is the one an lstsq over N would apply. The fit's variance is
+    |R[:, idx] b|^2 / N, since the block rows have zero mean.
 
-    When it varies, the estimate is the plug-in conditional entropy of
-    the class codes given the reconstruction, binned at equal frequency
-    by tied_equal_frequency_codes so that levels tied up to rounding
-    stay one level whichever solver computed them; that keeps every
-    entropy in the score on one discrete scale. When the reconstruction
-    is numerically constant the linear fit carries no information, and
-    the estimate falls back to the histogram entropy of the
-    unit-variance residual plus the log of its spread, minus the log of
-    its logistic scale (solved here and only here by logistic_scale); a
-    residual more concentrated than its spread implies (as in parity
-    interactions) still lowers that fallback below the marginal entropy.
+    When the fit varies, the samples are coded by the reconstruction,
+    one pass over N (the sum of b_j times block row j), binned at equal
+    frequency by tied_equal_frequency_codes so that levels tied up to
+    rounding stay one level whichever solver computed them. When it is
+    numerically constant the linear fit carries no information (as in
+    parity interactions), and the samples are coded by the joint code of
+    the columns idx of view_codes, the run's discretized columns. The
+    estimate is the plug-in conditional entropy of the class codes given
+    either coding, so every entropy in the score stays on one discrete
+    scale; on a null fit it is the plug-in H(y | columns idx), which is
+    r_balance's numerator.
     """
     n = block.shape[1]
     R_idx = R[:, idx]
     beta = np.linalg.lstsq(R_idx, R[:, -1], rcond=_EPS * max(n, len(idx)))[0]
-    recon = beta[0] * block[idx[0]]
-    for b, j in zip(beta[1:], idx[1:]):
-        recon += b * block[j]
     fit = R_idx @ beta
     if float(fit @ fit) / n < 1e-12:
-        resid = block[-1] - recon
-        sd = math.sqrt(float(resid.var()))
-        s = resid / sd
-        return (signal_entropy(s, bins) + math.log(sd)
-                - math.log(logistic_scale(s)))
-    codes = tied_equal_frequency_codes(recon, bins)
+        codes = joint_codes([view_codes[j] for j in idx])
+    else:
+        recon = beta[0] * block[idx[0]]
+        for b, j in zip(beta[1:], idx[1:]):
+            recon += b * block[j]
+        codes = tied_equal_frequency_codes(recon, bins)
     return joint_entropy([codes, labels]) - entropy(codes)
 
 
@@ -283,9 +234,10 @@ class _EngineState:
         Computed as -H(x) + H(x,y) - Hm, where Hm is the conditional
         entropy of the label given its least-squares reconstruction from
         the columns of S and x (label_conditional_entropy), so
-        relevance(x) + term telescopes to H(y) - Hm. A constant
-        candidate or constant label contributes nothing and scores zero
-        by convention.
+        relevance(x) + term telescopes to H(y) - Hm. When that fit is
+        null, Hm is the plug-in H(y | S, x) and the term is exactly the
+        plug-in I(S:y | x). A constant candidate or constant label
+        contributes nothing and scores zero by convention.
         """
         key = (tuple(subset.feature_ids), candidate)
         if key in self.term_cache:
@@ -295,7 +247,7 @@ class _EngineState:
             return 0.0
         cond_h = label_conditional_entropy(
             self.block, self.R, [*subset.feature_ids, candidate],
-            self.labels, self.config.bins)
+            self.view.codes, self.labels, self.config.bins)
         term = -self.h_x[candidate] + self.h_xy[candidate] - cond_h
         self.term_cache[key] = term
         return term
@@ -435,8 +387,9 @@ def r_balance(partition, data, config=None, per_subset=False):
 
     For each subset X the numerator is the plug-in H(y|X) on discretized
     codes and the denominator is label_conditional_entropy on the
-    subset's columns. Subsets with near-zero denominators are excluded
-    with a warning. Returns the mean ratio, optionally with the
+    subset's columns, which is that same plug-in when the subset's label
+    fit is null, so such a subset reads 1. Subsets with near-zero
+    denominators are excluded with a warning. Returns the mean ratio, optionally with the
     per-subset values (None where excluded)."""
     if config is None:
         config = HofsConfig()
@@ -454,7 +407,7 @@ def r_balance(partition, data, config=None, per_subset=False):
         cols = [view.codes[f] for f in sub.feature_ids]
         num = joint_entropy(cols + [labels]) - joint_entropy(cols)
         den = label_conditional_entropy(block, R, list(sub.feature_ids),
-                                        labels, config.bins)
+                                        view.codes, labels, config.bins)
         if abs(den) < 1e-9:
             warnings.warn("subset %r excluded from balance ratio: "
                           "near-zero conditional entropy" %

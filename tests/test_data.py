@@ -8,8 +8,6 @@ from hofsel.data import (
     _discretize_column,
     discretize,
     load_csv,
-    standardize,
-    standardize_column,
     tied_equal_frequency_codes,
     write_csv,
 )
@@ -113,27 +111,6 @@ class TestLoadCsv:
         table = load_csv(str(path), label_column="label",
                          categorical_overrides={"x": "categorical"})
         assert table.feature_kinds == ["categorical"]
-
-
-class TestStandardize:
-    def test_continuous_becomes_unit(self):
-        table = standardize(small_table())
-        col = table.columns[0]
-        assert abs(col.mean()) < 1e-12
-        assert col.std() == pytest.approx(1.0, abs=1e-12)
-
-    def test_categorical_untouched(self):
-        table = small_table()
-        out = standardize(table)
-        assert np.array_equal(out.columns[1], table.columns[1])
-
-    def test_constant_continuous_rejected(self):
-        table = small_table()
-        table.columns[0] = np.full(6, 2.5)
-        with pytest.raises(DataError):
-            standardize(table)
-        with pytest.raises(DataError):
-            standardize_column(np.full(6, 2.5))
 
 
 class TestDiscretize:

@@ -20,13 +20,12 @@ from hofsel.hofs import (
     assign_subset,
     hofs_score,
     label_conditional_entropy,
-    logistic_scale,
     partition_correlation,
     r_balance,
     run_hofs,
-    signal_entropy,
 )
-from hofsel.infotheory import entropy, joint_entropy, mutual_information
+from hofsel.infotheory import (conditional_mutual_information, entropy,
+                               joint_entropy, mutual_information)
 from hofsel.synth import HeteroModelSpec, TreeModelSpec, gen_hetero, \
     gen_tree
 
@@ -53,6 +52,20 @@ def xnor_table(reps=25):
     x3 = np.zeros(4 * reps)
     return DataTable(columns=[x1, x2, x3],
                      feature_names=["x1", "x2", "x3"],
+                     feature_kinds=["continuous"] * 3,
+                     labels=y, label_values=[0, 1])
+
+
+def xnor_with_independent_column(reps=25):
+    """x1, x2 and y = xnor(x1, x2) on an 8-row period, with a third ±1
+    column x4 that takes each value once on every (x1, x2) pair, so it
+    is independent of x1, x2 and y."""
+    x1 = np.tile([-1.0, -1.0, 1.0, 1.0], 2 * reps)
+    x2 = np.tile([-1.0, 1.0, -1.0, 1.0], 2 * reps)
+    x4 = np.tile([-1.0, -1.0, -1.0, 1.0, 1.0, 1.0, 1.0, -1.0], reps)
+    y = ((x1 * x2) > 0).astype(np.int64)
+    return DataTable(columns=[x1, x2, x4],
+                     feature_names=["x1", "x2", "x4"],
                      feature_kinds=["continuous"] * 3,
                      labels=y, label_values=[0, 1])
 
@@ -485,34 +498,30 @@ def binned_entropy(recon, labels, bins):
     return joint_entropy([codes, labels]) - entropy(codes)
 
 
-def unmixing_route_entropy(columns, label_std, labels, bins):
+def unmixing_route_entropy(columns, codes, label_std, labels, bins):
     """Conditional label entropy read off a triangular unmixing model.
 
     Stacks the columns and the standardized label, and inverts the label
     row: beta = -W[-1, :-1] / W[-1, -1] reconstructs the label from the
-    columns. Returns (entropy, whether the fallback ran).
+    columns. A constant reconstruction reads the brute-force H(y | codes)
+    of the columns' discretized codes. Returns (entropy, whether that
+    fallback ran).
     """
-    W, signals = oracles.triangular_unmixing(list(columns) + [label_std])
+    W, _ = oracles.triangular_unmixing(list(columns) + [label_std])
     w_last = W[-1]
     beta = -w_last[:-1] / w_last[-1]
     recon = np.column_stack(columns) @ beta
     if float(recon.var()) < 1e-12:
-        return (signal_entropy(signals[-1], bins)
-                - math.log(abs(w_last[-1]))
-                - math.log(logistic_scale(signals[-1]))), True
+        return oracles.table_conditional_entropy([labels], codes), True
     return binned_entropy(recon, labels, bins), False
 
 
-def fitted_route_entropy(beta, X, label_std, labels, bins):
-    """Conditional label entropy of the reconstruction X @ beta, with the
-    fallback of label_conditional_entropy for a constant one."""
+def fitted_route_entropy(beta, X, codes, labels, bins):
+    """Conditional label entropy of the reconstruction X @ beta, or the
+    brute-force H(y | codes) for a constant one."""
     recon = X @ beta
     if float(recon.var()) < 1e-12:
-        resid = label_std - recon
-        sd = math.sqrt(float(resid.var()))
-        s = resid / sd
-        return (signal_entropy(s, bins) + math.log(sd)
-                - math.log(logistic_scale(s)))
+        return oracles.table_conditional_entropy([labels], codes)
     return binned_entropy(recon, labels, bins)
 
 
@@ -535,7 +544,8 @@ def enumerated_terms(table, T, config):
 
 
 def engine_entropy(state, idx):
-    return label_conditional_entropy(state.block, state.R, idx, state.labels,
+    return label_conditional_entropy(state.block, state.R, idx,
+                                     state.view.codes, state.labels,
                                      state.config.bins)
 
 
@@ -551,7 +561,8 @@ class TestLabelFit:
         fallbacks = 0
         for state, idx in enumerated_terms(make(), T, config):
             ref, fell_back = unmixing_route_entropy(
-                [state.stdcols[f] for f in idx], state.label_std,
+                [state.stdcols[f] for f in idx],
+                [state.view.codes[f] for f in idx], state.label_std,
                 state.labels, config.bins)
             assert abs(engine_entropy(state, idx) - ref) <= 1e-12
             compared += 1
@@ -583,8 +594,9 @@ class TestLabelFit:
             by_gram = np.linalg.lstsq(X.T @ X, X.T @ s, rcond=None)[0]
             got = engine_entropy(state, idx)
             for beta in (by_lstsq, by_gram):
-                ref = fitted_route_entropy(beta, X, s, state.labels,
-                                           config.bins)
+                ref = fitted_route_entropy(
+                    beta, X, [state.view.codes[f] for f in idx],
+                    state.labels, config.bins)
                 assert abs(got - ref) <= 1e-12
             compared += 1
         assert compared > 100
@@ -654,54 +666,60 @@ class TestLabelFit:
         assert n not in calls["lstsq_rows"]
 
 
-def std(col):
-    return (col - col.mean()) / col.std()
+class TestNullFit:
+    def test_parity_partner_beats_an_independent_column(self):
+        # no linear fit sees xnor; the joint codes of {x1, x2} determine
+        # y, those of {x1, x4} say nothing about it
+        partition, trace = run_hofs(xnor_with_independent_column(), 3,
+                                    HofsConfig())
+        step = trace.steps[1]
+        terms = dict(zip(step.candidates.tolist(), step.terms[:, 0]))
+        assert terms[1] - terms[2] >= 0.5
+        assert terms[1] == pytest.approx(math.log(2), abs=1e-12)
+        assert abs(terms[2]) <= 1e-12
+        assert partition.selection_order == [0, 1, 2]
 
+    def test_term_is_the_plug_in_conditional_information(self):
+        # hetero seed 0's one null fit: F8 joining {F3}
+        table = gen_hetero(HeteroModelSpec(seed=0))
+        config = HofsConfig()
+        state = _EngineState(table, config)
+        codes = state.view.codes
+        term = state.conditional_term(Subset([2], 0.0), 7)
+        assert abs(term - conditional_mutual_information(
+            codes[2], table.labels, codes[7])) <= 1e-12
+        assert term == pytest.approx(0.277259, abs=1e-6)
+        partition, _ = run_hofs(table, 14, config)
+        sub = next(s for s in partition.subsets if s.feature_ids == [2, 7])
+        plug_in = mutual_information([codes[2], codes[7]], table.labels)
+        assert abs(sub.mi_estimate - plug_in) <= 1e-12
+        assert plug_in == pytest.approx(0.673012, abs=1e-6)
 
-def scale_gradient(w, r):
-    """d/dw of mean(log g'(w r)) + log w, with g the logistic cdf."""
-    return 1.0 / w - float(np.mean(r * np.tanh(0.5 * w * r)))
+    @pytest.mark.parametrize("make, T, expected", [
+        (lambda: gen_tree(TreeModelSpec(n_samples=5000, seed=1)), 9, 0),
+        (lambda: gen_hetero(HeteroModelSpec(seed=0)), 14, 1),
+    ], ids=["tree-5k", "hetero"])
+    def test_null_fits_per_run(self, make, T, expected, monkeypatch):
+        # label_conditional_entropy looks joint_codes up in the hofs
+        # namespace only on a null fit
+        table = make()
+        calls = [0]
+        joint_codes = hofs.joint_codes
 
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return joint_codes(*args, **kwargs)
 
-class TestLogisticScale:
-    def test_sign_residual_solves_w_tanh_half_w_is_one(self):
-        r = np.tile([-1.0, 1.0], 50)
-        w = logistic_scale(r)
-        assert w == pytest.approx(1.5434046, abs=1e-6)
-        # bisection on the same equation, independent of the Newton solve
-        lo, hi = 1.0, 2.0
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if mid * math.tanh(0.5 * mid) < 1.0 \
-                else (lo, mid)
-        assert abs(w - lo) < 1e-9
+        monkeypatch.setattr(hofs, "joint_codes", counted)
+        run_hofs(table, T, HofsConfig())
+        assert calls[0] == expected
 
-    @pytest.mark.parametrize("draw", [
-        lambda rng, n: rng.normal(size=n),
-        lambda rng, n: rng.laplace(size=n),
-        lambda rng, n: (rng.random(n) < 0.01).astype(np.float64),
-    ], ids=["gaussian", "laplace", "binary-p0.01"])
-    def test_gradient_vanishes_at_the_solution(self, draw):
-        r = std(draw(np.random.default_rng(9), 100000))
-        w = logistic_scale(r)
-        assert w > 0.0
-        assert abs(scale_gradient(w, r)) < 1e-10
-
-    def test_zero_variance_signal_rejected(self):
-        with pytest.raises(FloatingPointError):
-            logistic_scale(np.full(100, 0.3))
-
-    def test_unconverged_solve_raises(self, monkeypatch):
-        monkeypatch.setattr(hofs, "SCALE_MAX_STEPS", 2)
-        with pytest.raises(FloatingPointError, match="did not converge"):
-            logistic_scale(np.tile([-1.0, 1.0], 50))
-
-
-class TestSignalEntropy:
-    def test_signal_entropy_constant_is_zero(self):
-        assert signal_entropy(np.zeros(100), bins=5) == 0.0
-
-    def test_signal_entropy_uniform_bins(self):
-        s = np.linspace(0.0, 1.0, 1000)
-        h = signal_entropy(s, bins=5)
-        assert h == pytest.approx(math.log(5), abs=1e-3)
+    def test_balance_of_a_null_fit_is_unity(self):
+        # on a null fit, numerator and denominator are one plug-in
+        # estimator
+        table = xnor_table()
+        config = HofsConfig()
+        partition, _ = run_hofs(table, 3, config)
+        mean, per = r_balance(partition, table, config, per_subset=True)
+        assert per == [1.0] * partition.n_subsets
+        assert mean == 1.0
