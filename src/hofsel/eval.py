@@ -19,6 +19,8 @@ class LinearModel:
     mean: np.ndarray
     std: np.ndarray
     n_classes: int
+    # Newton iterations of the fit: the most that any of its rows took
+    n_steps: int
 
 
 PROBE_L2 = 1e-3
@@ -39,9 +41,11 @@ def _softplus_means(U, E, T):
     return total / U.shape[-1]
 
 
-def _newton_rows(A, sign, penalty):
+def _newton_rows(A, sign, penalty, theta=None):
     """Newton (IRLS) minimizers of mean(softplus(sign_k * theta_k A)) +
-    theta_k' diag(penalty) theta_k / 2, one per row k of sign, from 0.
+    theta_k' diag(penalty) theta_k / 2, one per row k of sign, from 0 or
+    from the rows of theta (K, d+1): in cross_validate's later folds,
+    from fold 0's mapped model.
 
     A is (d+1, N); sign is (K, N), -1 where a sample is in row k's class
     and +1 elsewhere, so softplus(sign_k * theta_k A) is row k's logistic
@@ -59,8 +63,9 @@ def _newton_rows(A, sign, penalty):
     rises by more than its rounding, and an accepted trial's margins are
     that row's next ones. Raises FloatingPointError for a non-finite step
     or loss, a stalled line search, or a row still moving after
-    PROBE_MAX_STEPS iterations. Returns theta, (K, d+1); sign's rows
-    are reordered in place.
+    PROBE_MAX_STEPS iterations. Returns theta, (K, d+1), and the number
+    of iterations the slowest row took; sign's rows are reordered in
+    place.
     """
     d1, n = A.shape
     K = len(sign)
@@ -79,15 +84,20 @@ def _newton_rows(A, sign, penalty):
     ridge = np.diag(penalty)
     out = np.empty((K, d1))
     rows = np.arange(K)
-    theta = np.zeros((K, d1))
+    if theta is None:
+        theta = np.zeros((K, d1))
     # (K, N) buffers live across iterations: at N = 100k a fresh array
     # per pass costs more than the pass itself. The working rows are the
     # first len(rows) of each buffer and of sign.
-    U, U_new = np.zeros((K, n)), np.empty((K, n))
+    U, U_new = np.empty((K, n)), np.empty((K, n))
     E, E_new = np.empty((K, n)), np.empty((K, n))
     Q, T = np.empty((K, n)), np.empty((K, n))
-    loss = _softplus_means(U, E, T)
-    for _ in range(PROBE_MAX_STEPS):
+    np.dot(theta, A, out=U)
+    U *= sign
+    # the penalty is part of the loss the first trial must not exceed;
+    # from 0 it is exactly 0
+    loss = _softplus_means(U, E, T) + 0.5 * ((theta * theta) @ penalty)
+    for steps in range(1, PROBE_MAX_STEPS + 1):
         k = len(rows)
         u, e, q, t = U[:k], E[:k], Q[:k], T[:k]
         # q = sigmoid(u) is s = 1 / (1 + e) for u >= 0 and 1 - s below;
@@ -119,7 +129,7 @@ def _newton_rows(A, sign, penalty):
             out[rows[done]] = theta[done] - step[done]
             keep = np.flatnonzero(~done)
             if not len(keep):
-                return out
+                return out, steps
             rows, theta, step, loss = (rows[keep], theta[keep], step[keep],
                                        loss[keep])
             # kept rows move to the front in place; a row only moves
@@ -156,12 +166,14 @@ def _newton_rows(A, sign, penalty):
                              % PROBE_MAX_STEPS)
 
 
-def _train_ovr(A, y, n_classes):
-    """One-vs-rest rows of the probe, solved together by _newton_rows.
+def _train_ovr(A, y, n_classes, start=None):
+    """One-vs-rest rows of the probe, solved together by _newton_rows
+    from the matching rows of start (C, d+1), or from 0.
 
     A is the augmented, transposed design (d+1, N) with ones in the last
     row, so the bias is the last weight column and the only one free of
-    the PROBE_L2 penalty. Returns (weights (C, d), bias (C,)).
+    the PROBE_L2 penalty. Returns (weights (C, d), bias (C,), Newton
+    iterations).
 
     With two classes only class 1's row is solved; class 0's is its
     exact negation, which is that row's own optimum. The branch keys on
@@ -174,28 +186,35 @@ def _train_ovr(A, y, n_classes):
     penalty = np.full(d1, PROBE_L2)
     penalty[-1] = 0.0
     binary = n_classes == 2
-    theta = np.zeros((n_classes, d1))
     present = np.bincount(y, minlength=n_classes) > 0
-    theta[~present, -1] = -np.inf
     solved = np.array([1]) if binary else np.flatnonzero(present)
-    theta[solved] = _newton_rows(
-        A, np.where(y == solved[:, None], -1.0, 1.0), penalty)
+    rows, steps = _newton_rows(
+        A, np.where(y == solved[:, None], -1.0, 1.0), penalty,
+        None if start is None else start[solved])
+    theta = np.zeros((n_classes, d1))
+    theta[~present, -1] = -np.inf
+    theta[solved] = rows
     if binary:
         theta[0] = -theta[1]
-    return theta[:, :-1], theta[:, -1]
+    return theta[:, :-1], theta[:, -1], steps
 
 
-def train_linear(X, y, n_classes):
+def train_linear(X, y, n_classes, *, _start=None):
     """One-vs-rest L2 logistic probe, each row solved to its optimum.
 
-    The solve is Newton's method from zero with a fixed stopping rule,
-    so the model is a function of the data alone. Features are
+    The solve is Newton's method with a fixed stopping rule, from zero
+    or, in cross_validate's later folds, from fold 0's mapped model
+    (_start, a LinearModel of the same shape, re-expressed in this
+    fit's standardization; a row that maps to a non-finite start, an
+    absent class's, starts from zero). Either start reaches the same
+    optimum, so the model is a function of the data alone. Features are
     standardized on the training statistics; zero-variance columns pass
     through unscaled. A two-class probe solves one row and returns it
     with its exact negation, so the argmax of predict still gives class
     0 where the score is zero; an absent class gets bias -inf (see
     _train_ovr). Raises EvalError for non-finite features, labels outside
-    [0, n_classes) or a single present class."""
+    [0, n_classes), a single present class or a start of another
+    shape."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.ndim != 2 or len(X) != len(y):
@@ -213,12 +232,26 @@ def train_linear(X, y, n_classes):
     mean = X.mean(axis=0)
     std = X.std(axis=0)
     std = np.where(std <= 1e-12, 1.0, std)
+    start = None
+    if _start is not None:
+        if _start.n_classes != n_classes or _start.weights.shape[1] != d:
+            raise EvalError("start model has %d classes and %d features, "
+                            "not %d and %d" % (_start.n_classes,
+                                               _start.weights.shape[1],
+                                               n_classes, d))
+        # the start's scores, W0 (x - m0) / s0 + b0, in this fit's
+        # standardized features z = (x - mean) / std
+        start = np.empty((n_classes, d + 1))
+        start[:, :d] = _start.weights * (std / _start.std)
+        start[:, d] = _start.bias + _start.weights @ (
+            (mean - _start.mean) / _start.std)
+        start[~np.isfinite(start).all(axis=1)] = 0.0
     A = np.empty((d + 1, n))
     A[:d] = ((X - mean) / std).T
     A[d] = 1.0
-    W, b = _train_ovr(A, y, n_classes)
+    W, b, steps = _train_ovr(A, y, n_classes, start)
     return LinearModel(weights=W, bias=b, mean=mean, std=std,
-                       n_classes=n_classes)
+                       n_classes=n_classes, n_steps=steps)
 
 
 def predict(model, X):
@@ -264,7 +297,10 @@ def cross_validate(data, features, n_folds=10, seed=0):
     """Mean held-out error (percent) of the linear probe.
 
     Stratified n_folds splits, or leave-one-out when the dataset has
-    fewer than 100 samples."""
+    fewer than 100 samples. Fold 0's probe is solved from zero, and
+    every later fold's from fold 0's model mapped into its own
+    standardization, which reaches the same optimum in fewer Newton
+    iterations."""
     features = list(features)
     if not features:
         raise EvalError("no features given")
@@ -280,10 +316,13 @@ def cross_validate(data, features, n_folds=10, seed=0):
     else:
         folds = stratified_folds(y, n_folds, seed=seed)
     errors = []
+    first = None
     for test_idx in folds:
         mask = np.ones(n, dtype=bool)
         mask[test_idx] = False
-        model = train_linear(X[mask], y[mask], data.n_classes)
+        model = train_linear(X[mask], y[mask], data.n_classes, _start=first)
+        if first is None:
+            first = model
         errors.append(error_rate(model, X[test_idx], y[test_idx]))
     return float(np.mean(errors))
 

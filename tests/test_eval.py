@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import oracles
+from hofsel.criteria import KINDS, Criterion, select_greedy
 from hofsel.data import DataTable, discretize
 from hofsel.eval import (
     PROBE_L2,
@@ -21,6 +23,7 @@ from hofsel.eval import (
 from hofsel.hofs import HofsConfig, run_hofs
 from hofsel.infotheory import EstimatorError
 from hofsel.synth import HeteroModelSpec, TreeModelSpec, gen_hetero, gen_tree
+from test_hofs import xnor_table
 
 
 def assert_solves_objective(model, X, y, perturb=True):
@@ -225,16 +228,21 @@ class TestBatchedRows:
         alone, iterations, halvings = [], [], []
         for k in range(5):
             shapes.clear()
-            alone.append(evaluation._newton_rows(A, sign[k:k + 1].copy(),
-                                                 penalty)[0])
+            theta, steps = evaluation._newton_rows(A, sign[k:k + 1].copy(),
+                                                   penalty)
+            alone.append(theta[0])
             iterations.append(sum(len(s) == 2 for s in shapes) - 1)
+            # the last iteration's step is below tolerance and needs no
+            # trial loss
+            assert steps == iterations[-1] + 1
             halvings.append(sum(len(s) == 1 for s in shapes))
         # the rows stop at different iterations, and one row alone halves
         # its step while the others accept every full step
         assert len(set(iterations)) > 1
         assert sum(h > 0 for h in halvings) == 1
         shapes.clear()
-        together = evaluation._newton_rows(A, sign.copy(), penalty)
+        together, steps = evaluation._newton_rows(A, sign.copy(), penalty)
+        assert steps == max(iterations) + 1
         assert np.abs(together - np.array(alone)).max() <= 1e-12
         stack = [s[0] for s in shapes if len(s) == 2]
         assert stack[0] == 5 and stack[-1] == 1
@@ -322,6 +330,138 @@ class TestCrossValidate:
         table = self.make_table()
         with pytest.raises(EvalError):
             cross_validate(table, [])
+
+
+def probe_case(name):
+    """A table and the features its probe tests use."""
+    if name == "hetero":
+        return gen_hetero(HeteroModelSpec(seed=0)), list(range(20))
+    if name == "xnor":
+        return xnor_table(), [0, 1, 2]
+    tree = gen_tree(TreeModelSpec(n_samples=5000, seed=1))
+    if name == "absent-class":
+        # a third, absent class: its row's start maps to bias -inf
+        tree = SimpleNamespace(columns=tree.columns, labels=tree.labels,
+                               n_classes=3)
+    return tree, list(range(9))
+
+
+def design(table, features):
+    return np.column_stack([np.asarray(table.columns[f], dtype=np.float64)
+                            for f in features])
+
+
+def record_fits(monkeypatch):
+    """Every probe fit cross_validate makes, as (X, y, n_classes, start,
+    model)."""
+    import hofsel.eval as evaluation
+    fits = []
+
+    def recorded(X, y, n_classes, **kwargs):
+        model = train_linear(X, y, n_classes, **kwargs)
+        fits.append((X, y, n_classes, kwargs.get("_start"), model))
+        return model
+
+    monkeypatch.setattr(evaluation, "train_linear", recorded)
+    return fits
+
+
+def assert_same_optimum(model, reference):
+    """Weights and biases agree to 1e-9 of the reference's largest, and
+    the -inf biases of absent classes sit in the same rows."""
+    got = np.column_stack([model.weights, model.bias])
+    want = np.column_stack([reference.weights, reference.bias])
+    finite = np.isfinite(want)
+    assert np.array_equal(np.isfinite(got), finite)
+    assert np.array_equal(got[~finite], want[~finite])
+    scale = np.abs(want[finite]).max()
+    assert np.abs(got[finite] - want[finite]).max() <= 1e-9 * scale
+
+
+CASES = ["tree-5k", "absent-class", "hetero", "xnor"]
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("case", CASES)
+    def test_warm_optimum_is_the_cold_optimum(self, monkeypatch, case):
+        table, features = probe_case(case)
+        fits = record_fits(monkeypatch)
+        cross_validate(table, features)
+        X_all = design(table, features)
+        first = fits[0][4]
+        assert fits[0][3] is None
+        for X, y, n_classes, start, warm in fits[1:]:
+            assert start is first
+            cold = train_linear(X, y, n_classes)
+            assert_same_optimum(warm, cold)
+            assert np.array_equal(predict(warm, X_all), predict(cold, X_all))
+
+    def test_hetero_probes_take_fewer_newton_steps(self, monkeypatch):
+        # the benchmark's seven top-10 probes of hetero seed 0 take 830
+        # Newton iterations when every fold starts from zero
+        table = gen_hetero(HeteroModelSpec(seed=0))
+        view = discretize(table, bins=5)
+        partition, _ = run_hofs(table, 20, HofsConfig(C=0.5, bins=5))
+        orders = [partition.selection_order] + [
+            select_greedy(Criterion(kind), view, table.labels, 20).order
+            for kind in KINDS]
+        fits = record_fits(monkeypatch)
+        for order in orders:
+            cross_validate(table, order[:10])
+        assert len(fits) == 70
+        assert sum(fit[4].n_steps for fit in fits) <= 450
+        for X, y, n_classes, start, model in fits[::10]:
+            assert start is None
+            assert model.n_steps == train_linear(X, y, n_classes).n_steps
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_start_ten_times_the_optimum_converges(self, case):
+        # the starting loss carries the penalty: without it hetero's
+        # first trial, penalized, never falls below the unpenalized
+        # start, and the line search stalls
+        table, features = probe_case(case)
+        X = design(table, features)
+        cold = train_linear(X, table.labels, table.n_classes)
+        far = replace(cold, weights=10.0 * cold.weights,
+                      bias=10.0 * cold.bias)
+        warm = train_linear(X, table.labels, table.n_classes, _start=far)
+        assert_same_optimum(warm, cold)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_start_at_the_optimum_takes_one_step(self, case):
+        table, features = probe_case(case)
+        X = design(table, features)
+        cold = train_linear(X, table.labels, table.n_classes)
+        # the same scores in another standardization (mean + std, 2 std)
+        # map back to the optimum
+        moved = replace(cold, mean=cold.mean + cold.std, std=2.0 * cold.std,
+                        weights=2.0 * cold.weights,
+                        bias=cold.bias + cold.weights.sum(axis=1))
+        for start in (cold, moved):
+            warm = train_linear(X, table.labels, table.n_classes,
+                                _start=start)
+            assert warm.n_steps == 1
+            assert_same_optimum(warm, cold)
+
+    def test_absent_class_row_starts_from_zero(self):
+        # a class absent from the start's data has bias -inf there; where
+        # it is present its row must start from 0, not from -inf
+        rng = np.random.default_rng(19)
+        X, y = blob_data(rng, 60, 3)
+        two = y < 2
+        start = train_linear(X[two], y[two], 3)
+        assert start.bias[2] == -np.inf
+        warm = train_linear(X, y, 3, _start=start)
+        assert_same_optimum(warm, train_linear(X, y, 3))
+
+    def test_start_of_another_shape_rejected(self):
+        rng = np.random.default_rng(18)
+        X, y = blob_data(rng, 40, 3)
+        model = train_linear(X, y, 3)
+        with pytest.raises(EvalError, match="start model"):
+            train_linear(X, y, 4, _start=model)
+        with pytest.raises(EvalError, match="start model"):
+            train_linear(X[:, :1], y, 3, _start=model)
 
 
 class TestGlobalMi:
