@@ -208,13 +208,16 @@ def train_linear(X, y, n_classes, *, _start=None):
     fit's standardization; a row that maps to a non-finite start, an
     absent class's, starts from zero). Either start reaches the same
     optimum, so the model is a function of the data alone. Features are
-    standardized on the training statistics; zero-variance columns pass
-    through unscaled. A two-class probe solves one row and returns it
-    with its exact negation, so the argmax of predict still gives class
-    0 where the score is zero; an absent class gets bias -inf (see
-    _train_ovr). Raises EvalError for non-finite features, labels outside
-    [0, n_classes), a single present class or a start of another
-    shape."""
+    standardized on the training statistics; a column whose std is at
+    most 1e-12 of its |mean|, constant up to rounding at its own scale,
+    passes through unscaled. (For such a column |mean| is its largest
+    |value| to within that rounding; a max over the strided columns
+    would cost another pass as slow as the std's.) A two-class probe
+    solves one row and returns it with its exact negation, so the
+    argmax of predict still gives class 0 where the score is zero; an
+    absent class gets bias -inf (see _train_ovr). Raises EvalError for
+    non-finite features, labels outside [0, n_classes), a single
+    present class or a start of another shape."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.ndim != 2 or len(X) != len(y):
@@ -231,7 +234,7 @@ def train_linear(X, y, n_classes, *, _start=None):
         raise EvalError("labels outside [0, %d)" % (n_classes,))
     mean = X.mean(axis=0)
     std = X.std(axis=0)
-    std = np.where(std <= 1e-12, 1.0, std)
+    std = np.where(std <= 1e-12 * np.abs(mean), 1.0, std)
     start = None
     if _start is not None:
         if _start.n_classes != n_classes or _start.weights.shape[1] != d:

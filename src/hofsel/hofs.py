@@ -50,17 +50,18 @@ def standardized_block(data):
     """The run's standardized columns as one block, and its QR factor.
 
     Returns (block, R). block is (m+1, N) float64: row j is feature j
-    at zero mean and unit variance (zeros for a constant column), and
-    row m is the standardized label (zeros for a constant label). R is
-    the upper triangular factor of block.T = QR, (m+1, m+1) when
-    N > m, computed once; the transposed view is Fortran-ordered, so qr
-    takes it without a C-order copy.
+    at zero mean and unit variance, and row m is the standardized
+    label. A column whose std is at most 1e-12 of its largest |value|
+    is constant up to rounding at its own scale and gives a row of
+    zeros. R is the upper triangular factor of block.T = QR,
+    (m+1, m+1) when N > m, computed once; the transposed view is
+    Fortran-ordered, so qr takes it without a C-order copy.
     """
     block = np.empty((data.n_features + 1, data.n_samples))
     for row, col in zip(block, [*data.columns,
                                 data.labels.astype(np.float64)]):
         sd = float(np.std(col))
-        if sd <= 1e-12:
+        if sd <= 1e-12 * float(np.abs(col).max()):
             row[:] = 0.0
         else:
             np.subtract(col, col.mean(), out=row)

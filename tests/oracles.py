@@ -128,10 +128,11 @@ def greedy_order(kind, codes, labels, t, beta=1.0):
 
 
 def train_standardization(X_train):
-    """Per-column mean and std; zero-variance columns keep scale 1."""
+    """Per-column mean and std; a column whose std is at most 1e-12 of
+    its |mean| keeps scale 1."""
     mean = X_train.mean(axis=0)
     std = X_train.std(axis=0)
-    return mean, np.where(std <= 1e-12, 1.0, std)
+    return mean, np.where(std <= 1e-12 * np.abs(mean), 1.0, std)
 
 
 def _softplus(u):
@@ -219,31 +220,42 @@ def triangular_unmixing(columns):
     return W, [X[:, :j + 1] @ W[j, :j + 1] for j in range(d)]
 
 
-def tied_quantile_codes(values, bins):
-    """Equal-frequency codes whose edges never split a run of tied values.
+def tied_quantile_edges(values, bins):
+    """The ascending edges of tied_quantile_codes, repeats kept.
 
     The edges are np.quantile's at 1/B..(B-1)/B. A run is a maximal
     stretch of the sorted values whose neighbours differ by at most
     1e-10 of the range. An edge above the first value of a run and at
     or below its last moves down to that first value, found by walking
-    the sorted values one neighbour at a time. A value's code is the
-    number of distinct edges at or below it. A range below 1e-12 is one
-    level.
+    the sorted values one neighbour at a time, so edges that fall in
+    one run repeat. None when the range is below 1e-12.
     """
-    v = np.asarray(values, dtype=np.float64)
-    s = np.sort(v)
+    s = np.sort(np.asarray(values, dtype=np.float64))
     span = float(s[-1] - s[0])
     if span < 1e-12:
-        return np.zeros(v.shape[0], dtype=np.int64)
+        return None
     tol = 1e-10 * span
-    edges = set()
-    for e in np.quantile(v, np.arange(1, bins) / bins):
+    edges = []
+    for e in np.quantile(s, np.arange(1, bins) / bins):
         i = int(np.searchsorted(s, e))
         # s[i - 1] < e <= s[i]: inside a run when the two are one run
         if i > 0 and s[i] - s[i - 1] <= tol:
             while i > 0 and s[i] - s[i - 1] <= tol:
                 i -= 1
             e = s[i]
-        edges.add(float(e))
-    edges = np.array(sorted(edges))
+        edges.append(float(e))
+    return np.array(edges)
+
+
+def tied_quantile_codes(values, bins):
+    """Equal-frequency codes whose edges never split a run of tied values.
+
+    A value's code is the number of distinct tied_quantile_edges at or
+    below it. A range below 1e-12 is one level.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    edges = tied_quantile_edges(v, bins)
+    if edges is None:
+        return np.zeros(v.shape[0], dtype=np.int64)
+    edges = np.unique(edges)
     return (v[:, None] >= edges[None, :]).sum(axis=1).astype(np.int64)

@@ -170,19 +170,35 @@ class TestDiscretize:
         cases = [(x, 5, "equal_frequency"), (x, 7, "equal_width"),
                  (np.round(x, 1), 5, "equal_frequency"),
                  (np.round(x, 1), 9, "equal_width"),
-                 (rng.exponential(size=500) ** 3, 10, "equal_frequency")]
+                 (rng.exponential(size=500) ** 3, 10, "equal_frequency"),
+                 # 255 and 256 edges: the largest count a uint8 holds,
+                 # and the first that needs a uint16
+                 (x, 256, "equal_frequency"), (x, 257, "equal_frequency")]
         # interior bins that come out empty: [0.6, 1.4) and [4, 6), [6, 8)
         gap = np.array([0.0] * 40 + [1.0] * 20 + [2.0] * 40)
         gaps = [(gap, 5, "equal_frequency"), (gap * 5, 5, "equal_width")]
         for k, (col, bins, scheme) in enumerate(cases + gaps):
             codes, edges = _discretize_column(col, "continuous", bins,
                                               scheme)
+            if bins > 255:
+                assert edges.size == bins - 1
             ref = reference(col, edges)
             assert codes.dtype == ref.dtype
             assert np.array_equal(codes, ref), (bins, scheme)
             if k >= len(cases):
                 raw = np.unique(np.searchsorted(edges, col, side="right"))
                 assert raw[-1] - raw[0] + 1 > len(raw)
+        # tied_equal_frequency_codes moves every edge inside a run down to
+        # the run's first value: 60% of these values form one run spread
+        # by rounding, so the edges at 0.3..0.8 repeat
+        rng = np.random.default_rng(3)
+        run = 0.5 + rng.choice([-1e-16, 0.0, 1e-16], size=1200)
+        col = rng.permutation(np.concatenate([rng.normal(size=800), run]))
+        edges = oracles.tied_quantile_edges(col, 10)
+        assert edges.size == 9 and np.unique(edges).size == 4
+        codes = tied_equal_frequency_codes(col, 10)
+        assert codes.dtype == np.int64
+        assert np.array_equal(codes, reference(col, edges))
 
     def test_sorted_edges_equal_np_quantile(self):
         # guards the edges read off one sort against np.quantile's own

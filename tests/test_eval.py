@@ -326,6 +326,13 @@ class TestCrossValidate:
             assert cross_validate(tree, features) == pinned
             assert cross_validate(two_row, features) == pinned
 
+    def test_tiny_scale_gives_the_same_error(self):
+        # a probe column is constant only when its std is within rounding
+        # of its |mean|, so 1e-13 x is standardized like x
+        tree = gen_tree(TreeModelSpec(n_samples=5000, seed=1))
+        tiny = replace(tree, columns=[1e-13 * col for col in tree.columns])
+        assert cross_validate(tiny, [0, 3, 1]) == 27.64138536554146
+
     def test_empty_feature_list_rejected(self):
         table = self.make_table()
         with pytest.raises(EvalError):

@@ -374,11 +374,14 @@ class TestInvariance:
 
     @TREE_AND_HETERO
     def test_positive_rescaling_of_continuous_columns(self, make, T):
+        # 1e-13 x is pure scaling: a column is constant only when its
+        # spread is within rounding of its own largest |value|
         table = make()
-        rescaled = replace(table, columns=[
-            3.0 * col + 7.0 if kind == "continuous" else col
-            for col, kind in zip(table.columns, table.feature_kinds)])
-        assert_same_selection(table, rescaled, T)
+        for rescale in (lambda col: 3.0 * col + 7.0, lambda col: 1e-13 * col):
+            rescaled = replace(table, columns=[
+                rescale(col) if kind == "continuous" else col
+                for col, kind in zip(table.columns, table.feature_kinds)])
+            assert_same_selection(table, rescaled, T)
 
     def test_binary_label_swap(self, small_tree):
         swapped = replace(small_tree, labels=1 - small_tree.labels,
