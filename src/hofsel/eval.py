@@ -45,7 +45,7 @@ def _newton_rows(A, sign, penalty, theta=None):
     """Newton (IRLS) minimizers of mean(softplus(sign_k * theta_k A)) +
     theta_k' diag(penalty) theta_k / 2, one per row k of sign, from 0 or
     from the rows of theta (K, d+1): in cross_validate's later folds,
-    from fold 0's mapped model.
+    from fold 0's model.
 
     A is (d+1, N); sign is (K, N), -1 where a sample is in row k's class
     and +1 elsewhere, so softplus(sign_k * theta_k A) is row k's logistic
@@ -166,13 +166,43 @@ def _newton_rows(A, sign, penalty, theta=None):
                              % PROBE_MAX_STEPS)
 
 
+def _design(columns, n):
+    """The probe's augmented, transposed design (d+1, n): row i is
+    column i, and the last row is ones. Raises EvalError for a
+    non-finite value."""
+    A = np.empty((len(columns) + 1, n))
+    for i, col in enumerate(columns):
+        A[i] = col
+        if not np.isfinite(A[i]).all():
+            raise EvalError("feature matrix holds NaN or inf")
+    A[-1] = 1.0
+    return A
+
+
+def _standardize(A):
+    """Standardize the feature rows of a design from _design in place,
+    (x - mean) / std, and return (mean, std). A row whose std is at most
+    1e-12 of its |mean|, constant up to rounding at its own scale, is
+    centred but not scaled (std 1). (For such a row |mean| is its
+    largest |value| to within that rounding.)"""
+    Z = A[:-1]
+    mean = Z.mean(axis=1)
+    std = Z.std(axis=1)
+    std[std <= 1e-12 * np.abs(mean)] = 1.0
+    Z -= mean[:, None]
+    Z /= std[:, None]
+    return mean, std
+
+
 def _train_ovr(A, y, n_classes, start=None):
     """One-vs-rest rows of the probe, solved together by _newton_rows
-    from the matching rows of start (C, d+1), or from 0.
+    from the matching rows of start (n_classes, d+1), or from 0; a row
+    whose start is not finite, such as a class absent where the start
+    was fitted, starts from 0.
 
     A is the augmented, transposed design (d+1, N) with ones in the last
-    row, so the bias is the last weight column and the only one free of
-    the PROBE_L2 penalty. Returns (weights (C, d), bias (C,), Newton
+    row, so the bias is the last column of theta and the only one free
+    of the PROBE_L2 penalty. Returns (theta (n_classes, d+1), Newton
     iterations).
 
     With two classes only class 1's row is solved; class 0's is its
@@ -180,81 +210,57 @@ def _train_ovr(A, y, n_classes, start=None):
     n_classes, not on the classes present in y. A class absent from y
     has no finite optimum (its loss falls toward 0 as its bias goes to
     -inf), so its row is zero weights and bias -inf: predict never
-    returns it.
+    returns it. Raises EvalError for labels outside [0, n_classes) or a
+    single present class.
     """
-    d1 = A.shape[0]
-    penalty = np.full(d1, PROBE_L2)
-    penalty[-1] = 0.0
-    binary = n_classes == 2
-    present = np.bincount(y, minlength=n_classes) > 0
-    solved = np.array([1]) if binary else np.flatnonzero(present)
-    rows, steps = _newton_rows(
-        A, np.where(y == solved[:, None], -1.0, 1.0), penalty,
-        None if start is None else start[solved])
-    theta = np.zeros((n_classes, d1))
-    theta[~present, -1] = -np.inf
-    theta[solved] = rows
-    if binary:
-        theta[0] = -theta[1]
-    return theta[:, :-1], theta[:, -1], steps
-
-
-def train_linear(X, y, n_classes, *, _start=None):
-    """One-vs-rest L2 logistic probe, each row solved to its optimum.
-
-    The solve is Newton's method with a fixed stopping rule, from zero
-    or, in cross_validate's later folds, from fold 0's mapped model
-    (_start, a LinearModel of the same shape, re-expressed in this
-    fit's standardization; a row that maps to a non-finite start, an
-    absent class's, starts from zero). Either start reaches the same
-    optimum, so the model is a function of the data alone. Features are
-    standardized on the training statistics; a column whose std is at
-    most 1e-12 of its |mean|, constant up to rounding at its own scale,
-    passes through unscaled. (For such a column |mean| is its largest
-    |value| to within that rounding; a max over the strided columns
-    would cost another pass as slow as the std's.) A two-class probe
-    solves one row and returns it with its exact negation, so the
-    argmax of predict still gives class 0 where the score is zero; an
-    absent class gets bias -inf (see _train_ovr). Raises EvalError for
-    non-finite features, labels outside [0, n_classes), a single
-    present class or a start of another shape."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if X.ndim != 2 or len(X) != len(y):
-        raise EvalError("feature matrix and labels disagree in shape")
-    if not np.isfinite(X).all():
-        raise EvalError("feature matrix holds NaN or inf")
-    n, d = X.shape
-    n_classes = int(n_classes)
     # the label range suffices; np.unique would hash every label
-    lo, hi = (int(y.min()), int(y.max())) if n else (0, 0)
+    lo, hi = (int(y.min()), int(y.max())) if len(y) else (0, 0)
     if lo == hi:
         raise EvalError("training split contains a single class")
     if lo < 0 or hi >= n_classes:
         raise EvalError("labels outside [0, %d)" % (n_classes,))
-    mean = X.mean(axis=0)
-    std = X.std(axis=0)
-    std = np.where(std <= 1e-12 * np.abs(mean), 1.0, std)
-    start = None
-    if _start is not None:
-        if _start.n_classes != n_classes or _start.weights.shape[1] != d:
-            raise EvalError("start model has %d classes and %d features, "
-                            "not %d and %d" % (_start.n_classes,
-                                               _start.weights.shape[1],
-                                               n_classes, d))
-        # the start's scores, W0 (x - m0) / s0 + b0, in this fit's
-        # standardized features z = (x - mean) / std
-        start = np.empty((n_classes, d + 1))
-        start[:, :d] = _start.weights * (std / _start.std)
-        start[:, d] = _start.bias + _start.weights @ (
-            (mean - _start.mean) / _start.std)
+    penalty = np.full(A.shape[0], PROBE_L2)
+    penalty[-1] = 0.0
+    binary = n_classes == 2
+    present = np.bincount(y, minlength=n_classes) > 0
+    solved = np.array([1]) if binary else np.flatnonzero(present)
+    if start is not None:
+        start = start[solved]
         start[~np.isfinite(start).all(axis=1)] = 0.0
-    A = np.empty((d + 1, n))
-    A[:d] = ((X - mean) / std).T
-    A[d] = 1.0
-    W, b, steps = _train_ovr(A, y, n_classes, start)
-    return LinearModel(weights=W, bias=b, mean=mean, std=std,
-                       n_classes=n_classes, n_steps=steps)
+    rows, steps = _newton_rows(
+        A, np.where(y == solved[:, None], -1.0, 1.0), penalty, start)
+    theta = np.zeros((n_classes, A.shape[0]))
+    theta[~present, -1] = -np.inf
+    theta[solved] = rows
+    if binary:
+        theta[0] = -theta[1]
+    return theta, steps
+
+
+def train_linear(X, y, n_classes):
+    """One-vs-rest L2 logistic probe, each row solved to its optimum.
+
+    The solve is Newton's method from zero with a fixed stopping rule,
+    so the model is a function of the data alone. Features are
+    standardized on the training statistics (see _standardize: a
+    column constant up to rounding passes through unscaled), and
+    PROBE_L2 weighs every standardized weight alike. A two-class probe solves
+    one row and returns it with its exact negation, so the argmax of
+    predict still gives class 0 where the score is zero; an absent
+    class gets bias -inf (see _train_ovr). Raises EvalError for
+    non-finite features, labels outside [0, n_classes) or a single
+    present class."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    if X.ndim != 2 or len(X) != len(y):
+        raise EvalError("feature matrix and labels disagree in shape")
+    n, d = X.shape
+    n_classes = int(n_classes)
+    A = _design(X.T, n)
+    mean, std = _standardize(A)
+    theta, steps = _train_ovr(A, y, n_classes)
+    return LinearModel(weights=theta[:, :d], bias=theta[:, d], mean=mean,
+                       std=std, n_classes=n_classes, n_steps=steps)
 
 
 def predict(model, X):
@@ -278,14 +284,16 @@ def stratified_folds(y, n_folds, seed=0):
     """Per-class shuffled round-robin fold assignment.
 
     Guarantees every training split contains every class as long as
-    each class has at least two members."""
+    each class has at least two members. Labels are non-negative class
+    codes; the classes are visited in ascending order."""
     y = np.asarray(y, dtype=np.int64)
     n = len(y)
     if n_folds < 2 or n_folds > n:
         raise EvalError("fold count %d out of range" % (n_folds,))
     rng = np.random.default_rng(np.random.SeedSequence((seed, 104729)))
     assign = np.empty(n, dtype=np.int64)
-    for cls in np.unique(y):
+    # the classes present, ascending, without sorting every label
+    for cls in np.flatnonzero(np.bincount(y)):
         idx = np.flatnonzero(y == cls)
         if len(idx) < 2:
             raise EvalError("class %d has fewer than 2 samples; "
@@ -300,20 +308,21 @@ def cross_validate(data, features, n_folds=10, seed=0):
     """Mean held-out error (percent) of the linear probe.
 
     Stratified n_folds splits, or leave-one-out when the dataset has
-    fewer than 100 samples. Fold 0's probe is solved from zero, and
-    every later fold's from fold 0's model mapped into its own
-    standardization, which reaches the same optimum in fewer Newton
-    iterations."""
+    fewer than 100 samples. The design (_design) is built once per
+    call; each fold gathers its training rows, standardizes them in
+    place as train_linear does (_standardize) and solves them, so its
+    model is train_linear's on those rows. Fold 0's probe is solved
+    from zero and starts every later fold as it is, which reaches the
+    same optimum in fewer Newton iterations."""
     features = list(features)
     if not features:
         raise EvalError("no features given")
-    X = np.column_stack([np.asarray(data.columns[f], dtype=np.float64)
-                         for f in features])
     y = data.labels
     n = len(y)
     counts = np.bincount(y)
     if (counts[counts > 0] < 2).any():
         raise EvalError("every class needs at least 2 samples")
+    A = _design([data.columns[f] for f in features], n)
     if n < 100:
         folds = [np.array([i]) for i in range(n)]
     else:
@@ -321,12 +330,21 @@ def cross_validate(data, features, n_folds=10, seed=0):
     errors = []
     first = None
     for test_idx in folds:
-        mask = np.ones(n, dtype=bool)
-        mask[test_idx] = False
-        model = train_linear(X[mask], y[mask], data.n_classes, _start=first)
+        train = np.ones(n, dtype=bool)
+        train[test_idx] = False
+        # compress gathers contiguous rows; A[:, train] would be strided
+        Z = np.compress(train, A, axis=1)
+        mean, std = _standardize(Z)
+        theta, _ = _train_ovr(Z, y[train], data.n_classes, first)
         if first is None:
-            first = model
-        errors.append(error_rate(model, X[test_idx], y[test_idx]))
+            first = theta
+        T = np.take(A[:-1], test_idx, axis=1)
+        T -= mean[:, None]
+        T /= std[:, None]
+        # the bias is added apart: an absent class's -inf bias inside a
+        # matrix product raises numpy's invalid-value warning
+        pred = np.argmax(theta[:, :-1] @ T + theta[:, -1:], axis=0)
+        errors.append(float(np.mean(pred != y[test_idx])) * 100.0)
     return float(np.mean(errors))
 
 

@@ -286,6 +286,33 @@ class TestFolds:
         for fa, fb in zip(a, b):
             assert np.array_equal(fa, fb)
 
+    @pytest.mark.parametrize("seed", [0, 3, 7, 11])
+    def test_folds_match_unique_class_reference(self, seed):
+        # the classes come from the label counts, in np.unique's order,
+        # so the generator's draws and the folds are the same; labels 1,
+        # 4 and 6 are absent
+        rng = np.random.default_rng(20 + seed)
+        y = rng.choice([0, 2, 3, 5, 7], size=500,
+                       p=[0.4, 0.3, 0.2, 0.05, 0.05]).astype(np.int64)
+        for n_folds in (2, 5, 10):
+            got = stratified_folds(y, n_folds, seed=seed)
+            want = unique_class_folds(y, n_folds, seed)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+
+
+def unique_class_folds(y, n_folds, seed):
+    """stratified_folds with the classes read by np.unique."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 104729)))
+    assign = np.empty(len(y), dtype=np.int64)
+    for cls in np.unique(y):
+        idx = np.flatnonzero(y == cls)
+        idx = idx[rng.permutation(len(idx))]
+        assign[idx] = np.arange(len(idx)) % n_folds
+    folds = [np.flatnonzero(assign == f) for f in range(n_folds)]
+    return [f for f in folds if len(f)]
+
 
 class TestCrossValidate:
     def make_table(self, n=300, seed=7):
@@ -333,6 +360,49 @@ class TestCrossValidate:
         tiny = replace(tree, columns=[1e-13 * col for col in tree.columns])
         assert cross_validate(tiny, [0, 3, 1]) == 27.64138536554146
 
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
+    @pytest.mark.parametrize("ones", [1, 20, 500])
+    def test_fold_constant_column_matches_cold_folds(self, monkeypatch,
+                                                     ones, scale):
+        # an indicator whose ones all sit in test fold 3 is all zeros on
+        # that fold's training rows, where train_linear's weight on it is
+        # 0 and the Hessian stays well conditioned at any scale of the
+        # column; fold 0, which starts fold 3, has a nonzero weight on it
+        tree = gen_tree(TreeModelSpec(n_samples=5000, seed=1))
+        splits = training_splits(tree)
+        indicator = np.zeros(5000)
+        indicator[np.flatnonzero(~splits[3])[:ones]] = scale
+        table = SimpleNamespace(columns=list(tree.columns) + [indicator],
+                                labels=tree.labels, n_classes=2)
+        features = [0, 3, 1, 9]
+        fits = record_fits(monkeypatch)
+        assert cross_validate(table, features) == cold_fold_error(
+            table, features, splits)
+        fit = fits[3]
+        assert not fit.A[3].any()
+        assert fit.theta[1, 3] == 0.0
+        # the Hessian of the solved row at its optimum is well conditioned
+        q = 1.0 / (1.0 + np.exp(-(fit.theta[1] @ fit.A)))
+        hess = ((fit.A * (q * (1.0 - q))) @ fit.A.T / len(q)
+                + np.diag(np.append(np.full(len(features), PROBE_L2), 0.0)))
+        assert np.linalg.cond(hess) < 1e8
+
+    @pytest.mark.parametrize("outlier", [1e6, 1e9])
+    def test_outlier_column_matches_cold_folds(self, outlier):
+        # one extreme value sets the all-sample std of its column, and
+        # the fold that trains without it has a spread 1e-4 (1e6) or
+        # 1e-7 (1e9) as wide: every fold must still reach train_linear's
+        # optimum
+        tree = gen_tree(TreeModelSpec(n_samples=5000, seed=1))
+        columns = [np.asarray(col, dtype=np.float64) for col in tree.columns]
+        columns[3] = columns[3].copy()
+        columns[3][17] = outlier
+        table = SimpleNamespace(columns=columns, labels=tree.labels,
+                                n_classes=2)
+        features = [0, 3, 1]
+        assert cross_validate(table, features) == cold_fold_error(
+            table, features, training_splits(table))
+
     def test_empty_feature_list_rejected(self):
         table = self.make_table()
         with pytest.raises(EvalError):
@@ -347,7 +417,7 @@ def probe_case(name):
         return xnor_table(), [0, 1, 2]
     tree = gen_tree(TreeModelSpec(n_samples=5000, seed=1))
     if name == "absent-class":
-        # a third, absent class: its row's start maps to bias -inf
+        # a third, absent class: its row has bias -inf in every fold
         tree = SimpleNamespace(columns=tree.columns, labels=tree.labels,
                                n_classes=3)
     return tree, list(range(9))
@@ -358,26 +428,57 @@ def design(table, features):
                             for f in features])
 
 
+def standardized_design(table, features):
+    """The augmented design of all samples, standardized as train_linear
+    standardizes it."""
+    import hofsel.eval as evaluation
+    A = evaluation._design([table.columns[f] for f in features],
+                           len(table.labels))
+    evaluation._standardize(A)
+    return A
+
+
+def training_splits(table):
+    """The training masks of cross_validate's ten default folds."""
+    n = len(table.labels)
+    splits = []
+    for test_idx in stratified_folds(table.labels, 10):
+        train = np.ones(n, dtype=bool)
+        train[test_idx] = False
+        splits.append(train)
+    return splits
+
+
+def cold_fold_error(table, features, splits):
+    """Mean held-out error of train_linear fitted on each split alone."""
+    X, y = design(table, features), table.labels
+    errors = []
+    for train in splits:
+        cold = train_linear(X[train], y[train], table.n_classes)
+        errors.append(error_rate(cold, X[~train], y[~train]))
+    return float(np.mean(errors))
+
+
 def record_fits(monkeypatch):
-    """Every probe fit cross_validate makes, as (X, y, n_classes, start,
-    model)."""
+    """Every probe solve cross_validate makes, with its design, labels,
+    start, solution theta and Newton iterations."""
     import hofsel.eval as evaluation
     fits = []
+    solve = evaluation._train_ovr
 
-    def recorded(X, y, n_classes, **kwargs):
-        model = train_linear(X, y, n_classes, **kwargs)
-        fits.append((X, y, n_classes, kwargs.get("_start"), model))
-        return model
+    def recorded(A, y, n_classes, start=None):
+        theta, steps = solve(A, y, n_classes, start)
+        fits.append(SimpleNamespace(A=A, y=y, start=start, theta=theta,
+                                    steps=steps))
+        return theta, steps
 
-    monkeypatch.setattr(evaluation, "train_linear", recorded)
+    monkeypatch.setattr(evaluation, "_train_ovr", recorded)
     return fits
 
 
-def assert_same_optimum(model, reference):
-    """Weights and biases agree to 1e-9 of the reference's largest, and
-    the -inf biases of absent classes sit in the same rows."""
-    got = np.column_stack([model.weights, model.bias])
-    want = np.column_stack([reference.weights, reference.bias])
+def assert_same_optimum(got, want):
+    """Entries agree to 1e-9 of the reference's largest finite one, and
+    the -inf entries of absent classes sit in the same places."""
     finite = np.isfinite(want)
     assert np.array_equal(np.isfinite(got), finite)
     assert np.array_equal(got[~finite], want[~finite])
@@ -391,17 +492,31 @@ CASES = ["tree-5k", "absent-class", "hetero", "xnor"]
 class TestWarmStart:
     @pytest.mark.parametrize("case", CASES)
     def test_warm_optimum_is_the_cold_optimum(self, monkeypatch, case):
+        # every fold standardizes its gathered rows and starts from fold
+        # 0's model: its design, its solution and its predictions must be
+        # those of train_linear on the fold's rows
         table, features = probe_case(case)
         fits = record_fits(monkeypatch)
-        cross_validate(table, features)
-        X_all = design(table, features)
-        first = fits[0][4]
-        assert fits[0][3] is None
-        for X, y, n_classes, start, warm in fits[1:]:
-            assert start is first
-            cold = train_linear(X, y, n_classes)
-            assert_same_optimum(warm, cold)
-            assert np.array_equal(predict(warm, X_all), predict(cold, X_all))
+        error = cross_validate(table, features)
+        X = design(table, features)
+        splits = training_splits(table)
+        assert len(fits) == len(splits)
+        assert fits[0].start is None
+        d = len(features)
+        for fit, train in zip(fits, splits):
+            assert np.array_equal(fit.y, table.labels[train])
+            if fit is not fits[0]:
+                assert fit.start is fits[0].theta
+            cold = train_linear(X[train], table.labels[train],
+                                table.n_classes)
+            Z = (X[train] - cold.mean) / cold.std
+            assert np.abs(fit.A[:d] - Z.T).max() <= 1e-9 * np.abs(Z).max()
+            assert_same_optimum(fit.theta,
+                                np.column_stack([cold.weights, cold.bias]))
+            warm = replace(cold, weights=fit.theta[:, :d],
+                           bias=fit.theta[:, d])
+            assert np.array_equal(predict(warm, X), predict(cold, X))
+        assert error == cold_fold_error(table, features, splits)
 
     def test_hetero_probes_take_fewer_newton_steps(self, monkeypatch):
         # the benchmark's seven top-10 probes of hetero seed 0 take 830
@@ -416,59 +531,53 @@ class TestWarmStart:
         for order in orders:
             cross_validate(table, order[:10])
         assert len(fits) == 70
-        assert sum(fit[4].n_steps for fit in fits) <= 450
-        for X, y, n_classes, start, model in fits[::10]:
-            assert start is None
-            assert model.n_steps == train_linear(X, y, n_classes).n_steps
+        assert sum(fit.steps for fit in fits) <= 450
+        train = training_splits(table)[0]
+        for order, fit in zip(orders, fits[::10]):
+            assert fit.start is None
+            X = design(table, order[:10])
+            cold = train_linear(X[train], table.labels[train],
+                                table.n_classes)
+            assert fit.steps == cold.n_steps
 
     @pytest.mark.parametrize("case", CASES)
     def test_start_ten_times_the_optimum_converges(self, case):
         # the starting loss carries the penalty: without it hetero's
         # first trial, penalized, never falls below the unpenalized
         # start, and the line search stalls
+        import hofsel.eval as evaluation
         table, features = probe_case(case)
-        X = design(table, features)
-        cold = train_linear(X, table.labels, table.n_classes)
-        far = replace(cold, weights=10.0 * cold.weights,
-                      bias=10.0 * cold.bias)
-        warm = train_linear(X, table.labels, table.n_classes, _start=far)
+        A = standardized_design(table, features)
+        cold, _ = evaluation._train_ovr(A, table.labels, table.n_classes)
+        warm, _ = evaluation._train_ovr(A, table.labels, table.n_classes,
+                                        10.0 * cold)
         assert_same_optimum(warm, cold)
 
     @pytest.mark.parametrize("case", CASES)
     def test_start_at_the_optimum_takes_one_step(self, case):
+        import hofsel.eval as evaluation
         table, features = probe_case(case)
-        X = design(table, features)
-        cold = train_linear(X, table.labels, table.n_classes)
-        # the same scores in another standardization (mean + std, 2 std)
-        # map back to the optimum
-        moved = replace(cold, mean=cold.mean + cold.std, std=2.0 * cold.std,
-                        weights=2.0 * cold.weights,
-                        bias=cold.bias + cold.weights.sum(axis=1))
-        for start in (cold, moved):
-            warm = train_linear(X, table.labels, table.n_classes,
-                                _start=start)
-            assert warm.n_steps == 1
-            assert_same_optimum(warm, cold)
+        A = standardized_design(table, features)
+        cold, _ = evaluation._train_ovr(A, table.labels, table.n_classes)
+        warm, steps = evaluation._train_ovr(A, table.labels,
+                                            table.n_classes, cold)
+        assert steps == 1
+        assert_same_optimum(warm, cold)
 
     def test_absent_class_row_starts_from_zero(self):
         # a class absent from the start's data has bias -inf there; where
         # it is present its row must start from 0, not from -inf
+        import hofsel.eval as evaluation
         rng = np.random.default_rng(19)
         X, y = blob_data(rng, 60, 3)
+        A = evaluation._design(X.T, len(y))
+        evaluation._standardize(A)
         two = y < 2
-        start = train_linear(X[two], y[two], 3)
-        assert start.bias[2] == -np.inf
-        warm = train_linear(X, y, 3, _start=start)
-        assert_same_optimum(warm, train_linear(X, y, 3))
-
-    def test_start_of_another_shape_rejected(self):
-        rng = np.random.default_rng(18)
-        X, y = blob_data(rng, 40, 3)
-        model = train_linear(X, y, 3)
-        with pytest.raises(EvalError, match="start model"):
-            train_linear(X, y, 4, _start=model)
-        with pytest.raises(EvalError, match="start model"):
-            train_linear(X[:, :1], y, 3, _start=model)
+        start, _ = evaluation._train_ovr(np.compress(two, A, axis=1),
+                                         y[two], 3)
+        assert start[2, -1] == -np.inf
+        warm, _ = evaluation._train_ovr(A, y, 3, start)
+        assert_same_optimum(warm, evaluation._train_ovr(A, y, 3)[0])
 
 
 class TestGlobalMi:
