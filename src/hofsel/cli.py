@@ -69,10 +69,13 @@ def _echo_config(cfg):
 
 def _load_table(data_path, label_column, missing_policy):
     try:
-        return load_csv(data_path, label_column=label_column,
-                        missing_policy=missing_policy)
+        table = load_csv(data_path, label_column=label_column,
+                         missing_policy=missing_policy)
     except OSError as exc:
         raise DataError("cannot read %s: %s" % (data_path, exc))
+    click.echo("rows: read %(rows_read)d, dropped %(rows_dropped)d"
+               % table.load_report)
+    return table
 
 
 def _fail(code, message):
@@ -273,13 +276,13 @@ def bench(data_path, label_column, methods, k_list, folds, bins, coverage,
                 result = select_greedy(Criterion(kind=method), view,
                                        table.labels, t)
                 orders[method] = result.order
-        # the probe is deterministic: methods that share a top-k share
-        # its error, so each distinct ordered list is validated once
+        # the probe error is a function of the feature set: methods whose
+        # top-k hold the same features share it, so each set is validated once
         errors = {}
         rows = []
         for method in method_list:
             for k in ks:
-                top = tuple(orders[method][:k])
+                top = tuple(sorted(orders[method][:k]))
                 if top not in errors:
                     errors[top] = cross_validate(table, top, n_folds=folds,
                                                  seed=seed)

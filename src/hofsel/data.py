@@ -7,7 +7,6 @@ that the entropy estimators consume.
 """
 
 import csv
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,10 +143,16 @@ def load_csv(path, label_column, delimiter=",", has_header=True,
              missing_policy="drop", categorical_overrides=None):
     """Parse a delimited text file into a DataTable.
 
-    label_column may be a header name or a 0-based column index. Rows with
-    missing cells are dropped (missing_policy="drop") or imputed with the
-    column mode/median (missing_policy="impute"). A load report (rows read,
-    rows dropped, inferred kinds) is attached to the result.
+    label_column may be a header name or a 0-based column index. Rows
+    whose width is not the header's drop. Each feature column is read by
+    one np.array(cells, dtype=float64), which parses a str as float()
+    does; a column it rejects is read cell by cell, where "", na, nan and
+    null (any case, stripped) are missing and any other non-numeric cell
+    raises DataError. Non-finite values are missing. Rows with missing
+    cells are dropped (missing_policy="drop") or imputed with the column
+    mode/median (missing_policy="impute"); a missing label always drops.
+    A load report (rows read, rows dropped, inferred kinds) is attached
+    to the result.
     """
     if missing_policy not in ("drop", "impute"):
         raise DataError("unknown missing_policy %r" % (missing_policy,))
@@ -182,47 +187,41 @@ def load_csv(path, label_column, delimiter=",", has_header=True,
     def parse_cell(cell):
         cell = cell.strip()
         if cell == "" or cell.lower() in ("na", "nan", "null"):
-            return None
+            return np.nan
         try:
             return float(cell)
         except ValueError:
             raise DataError("non-numeric cell %r outside the label column" % cell)
 
     rows_read = len(body)
-    parsed = []
-    raw_labels = []
-    dropped = 0
-    for row in body:
-        if len(row) != n_cols:
-            dropped += 1
-            continue
-        cells = []
-        missing = False
-        label_missing = False
-        for i, cell in enumerate(row):
-            if i == label_idx:
-                lab = cell.strip()
-                label_missing = lab == ""
-                continue
-            value = parse_cell(cell)
-            if value is None or not math.isfinite(value):
-                missing = True
-                value = np.nan
-            cells.append(value)
-        # a missing label can never be imputed, so those rows always drop
-        if label_missing or (missing and missing_policy == "drop"):
-            dropped += 1
-            continue
-        parsed.append(cells)
-        raw_labels.append(lab)
-
-    if not parsed:
+    body = [row for row in body if len(row) == n_cols]
+    if not body:
         raise DataError("zero usable rows in %s" % (path,))
-    matrix = np.asarray(parsed, dtype=np.float64)
+    cells = list(zip(*body))
+    labs = np.array([cell.strip() for cell in cells.pop(label_idx)])
+    matrix = np.empty((len(cells), len(body)))
+    rejected = []
+    for j, col in enumerate(cells):
+        try:
+            matrix[j] = np.array(col, dtype=np.float64)
+        except ValueError:
+            rejected.append(j)
+    # rejected columns are read cell by cell in file order, so that the
+    # error names the first non-numeric cell, as a row-by-row read would
+    for i, row in enumerate(zip(*[cells[j] for j in rejected])):
+        matrix[rejected, i] = [parse_cell(cell) for cell in row]
+    # non-finite values are missing; a missing label can never be
+    # imputed, so those rows always drop
+    keep = labs != ""
+    if missing_policy == "drop":
+        keep &= np.isfinite(matrix).all(axis=0)
+    if not keep.any():
+        raise DataError("zero usable rows in %s" % (path,))
+    matrix = np.compress(keep, matrix, axis=1)
+    raw_labels = labs[keep].tolist()
 
     if missing_policy == "impute":
-        for j in range(matrix.shape[1]):
-            col = matrix[:, j]
+        for j, col in enumerate(matrix):
             bad = ~np.isfinite(col)
             if not bad.any():
                 continue
@@ -236,12 +235,12 @@ def load_csv(path, label_column, delimiter=",", has_header=True,
                 fill = np.median(good)
             col[bad] = fill
 
-    columns = [np.ascontiguousarray(matrix[:, j]) for j in range(matrix.shape[1])]
+    columns = list(matrix)
     kinds = _infer_kinds(columns, feature_names, categorical_overrides)
     labels, label_values = _encode_labels(raw_labels)
     report = {
         "rows_read": rows_read,
-        "rows_dropped": dropped,
+        "rows_dropped": rows_read - len(raw_labels),
         "missing_policy": missing_policy,
         "feature_kinds": dict(zip(feature_names, kinds)),
     }

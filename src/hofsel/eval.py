@@ -305,18 +305,25 @@ def stratified_folds(y, n_folds, seed=0):
 
 
 def cross_validate(data, features, n_folds=10, seed=0):
-    """Mean held-out error (percent) of the linear probe.
+    """Mean held-out error (percent) of the linear probe on a feature
+    set: the ids are sorted, so their order does not matter, and an id
+    outside [0, n_features) or a repeated id raises EvalError.
 
-    Stratified n_folds splits, or leave-one-out when the dataset has
-    fewer than 100 samples. The design (_design) is built once per
-    call; each fold gathers its training rows, standardizes them in
-    place as train_linear does (_standardize) and solves them, so its
-    model is train_linear's on those rows. Fold 0's probe is solved
-    from zero and starts every later fold as it is, which reaches the
-    same optimum in fewer Newton iterations."""
-    features = list(features)
+    Stratified n_folds splits, or leave-one-out below 100 samples. The
+    design (_design) is built once per call; each fold gathers its
+    training rows, standardizes them in place as train_linear does
+    (_standardize) and solves them, so its model is train_linear's on
+    those rows. Fold 0's probe is solved from zero and starts every
+    later fold as it is, which reaches the same optimum in fewer Newton
+    iterations."""
+    features = sorted(features)
     if not features:
         raise EvalError("no features given")
+    m = len(data.columns)
+    if features[0] < 0 or features[-1] >= m:
+        raise EvalError("feature ids must lie in [0, %d)" % (m,))
+    if len(set(features)) < len(features):
+        raise EvalError("feature ids must be distinct")
     y = data.labels
     n = len(y)
     counts = np.bincount(y)

@@ -6,7 +6,9 @@ from-scratch greedy loop for the selection criteria. None of it shares
 code with the package so that agreement is evidence, not tautology.
 """
 
+import csv
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -259,3 +261,58 @@ def tied_quantile_codes(values, bins):
         return np.zeros(v.shape[0], dtype=np.int64)
     edges = np.unique(edges)
     return (v[:, None] >= edges[None, :]).sum(axis=1).astype(np.int64)
+
+
+def csv_by_rows(path, label_column, missing_policy):
+    """A delimited file read one row and one cell at a time.
+
+    A row whose width is not the header's drops. A feature cell that is
+    empty, na, nan or null (any case, stripped), or that float() reads
+    as non-finite, is missing; any other cell that float() rejects
+    raises ValueError naming the first such cell, row by row. A row with
+    an empty label always drops. A row with a missing feature cell drops
+    under "drop"; under "impute" the cell takes its column's mode (the
+    smallest most common value) when the column's usable values are
+    integral with at most 32 distinct ones, and its median otherwise.
+    Returns the feature columns, the kept stripped label cells, and the
+    rows read and dropped.
+    """
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    header = [h.strip() for h in rows[0]]
+    label_idx = header.index(label_column)
+    kept, labels = [], []
+    for row in rows[1:]:
+        if len(row) != len(header):
+            continue
+        values = []
+        for i, cell in enumerate(row):
+            if i == label_idx:
+                continue
+            cell = cell.strip()
+            if cell.lower() in ("", "na", "nan", "null"):
+                values.append(math.nan)
+                continue
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ValueError("non-numeric cell %r" % (cell,))
+            values.append(value if math.isfinite(value) else math.nan)
+        label = row[label_idx].strip()
+        missing = any(math.isnan(v) for v in values)
+        if label == "" or (missing and missing_policy == "drop"):
+            continue
+        kept.append(values)
+        labels.append(label)
+    columns = [np.array(col) for col in zip(*kept)]
+    if missing_policy == "impute":
+        for col in columns:
+            good = [v for v in col.tolist() if not math.isnan(v)]
+            counts = Counter(good)
+            if all(v == math.floor(v) for v in good) and len(counts) <= 32:
+                fill = max(sorted(counts), key=counts.__getitem__)
+            else:
+                fill = float(np.median(good))
+            col[np.isnan(col)] = fill
+    read = len(rows) - 1
+    return columns, labels, read, read - len(labels)

@@ -168,8 +168,8 @@ class TestBenchCommand:
         assert csv_lines[0] == "method,k,error"
         assert len(csv_lines) == 5
 
-    def test_cross_validate_once_per_distinct_order(self, runner, tree_csv,
-                                                    tmp_path, monkeypatch):
+    def test_cross_validate_once_per_distinct_set(self, runner, tree_csv,
+                                                  tmp_path, monkeypatch):
         import hofsel.cli as cli
         from hofsel.eval import cross_validate
         calls = []
@@ -191,14 +191,15 @@ class TestBenchCommand:
         names = table.feature_names
         distinct = set()
         for row in report["results"]:
-            ids = tuple(names.index(f)
-                        for f in report["orders"][row["method"]][:row["k"]])
-            distinct.add(ids)
-            # the probe is deterministic, so a shared order shares its error
-            assert row["error"] == cross_validate(table, list(ids),
+            ids = [names.index(f)
+                   for f in report["orders"][row["method"]][:row["k"]]]
+            distinct.add(tuple(sorted(ids)))
+            # the error is a function of the set, so a shared set shares it
+            assert row["error"] == cross_validate(table, ids[::-1],
                                                   n_folds=3, seed=0)
         # every method opens with the most relevant feature
         assert len(distinct) < 12
+        # each distinct set is validated once, as its sorted ids
         assert sorted(calls) == sorted(distinct)
 
     def test_unconverged_probe_is_numeric_failure(self, runner, tree_csv,
@@ -224,6 +225,27 @@ class TestBenchCommand:
                                       "--methods", "mim",
                                       "--k-list", "99"])
         assert result.exit_code == 2
+
+
+class TestLoadReportEcho:
+    def test_commands_echo_rows_read_and_dropped(self, runner, tree_csv,
+                                                 tmp_path):
+        with open(tree_csv) as fh:
+            lines = fh.read().splitlines()
+        lines[3] = "," + lines[3].split(",", 1)[1]
+        lines[7] = "NA," + lines[7].split(",", 1)[1]
+        lines[9] = lines[9].rsplit(",", 1)[0] + ","
+        lines.append("1.0,2.0")
+        gaps = tmp_path / "gaps.csv"
+        gaps.write_text("\n".join(lines) + "\n")
+        for args in (["select", "--method", "mim", "-T", "2"],
+                     ["bench", "--methods", "mim", "--k-list", "2",
+                      "--folds", "3"],
+                     ["diagnose", "-T", "2"]):
+            result = runner.invoke(main, args + [
+                "--data", str(gaps), "--out-dir", str(tmp_path / args[0])])
+            assert result.exit_code == 0, result.output
+            assert "rows: read 401, dropped 4\n" in result.output
 
 
 class TestDiagnoseCommand:

@@ -6,11 +6,14 @@ from hofsel.data import (
     DataError,
     DataTable,
     _discretize_column,
+    _encode_labels,
+    _infer_kinds,
     discretize,
     load_csv,
     tied_equal_frequency_codes,
     write_csv,
 )
+from hofsel.synth import HeteroModelSpec, gen_hetero
 
 
 def small_table():
@@ -22,7 +25,62 @@ def small_table():
                      labels=labels, label_values=["no", "yes"])
 
 
+# every missing spelling, whitespace, overflow to inf, an underscore
+# separator, a row of the wrong width and a missing label; column a falls
+# back to the cell-by-cell read, b holds both kinds of cell, c is numeric
+AWKWARD_CSV = (
+    "a,b,c,label\n"
+    "1.5,2,3,0\n"
+    " NA ,4,1e400,1\n"
+    "Null,5,-1,0\n"
+    ",6,2,1\n"
+    "nan,7,3,0\n"
+    "inf,1_000,4,1\n"
+    "2.5,3,5,\n"
+    "1,2,3\n"
+    "-inf,,7,0\n"
+    "4.5,10, 8 , 1 \n"
+    "5.5,nUll,9,0\n"
+    " 6.5 ,12,10,1\n"
+    "7.5,2,-inf,0\n"
+    "8.5,2,11,1\n"
+)
+
+
 class TestLoadCsv:
+    @pytest.mark.parametrize("policy", ["drop", "impute"])
+    @pytest.mark.parametrize("case", ["awkward", "hetero"])
+    def test_matches_row_by_row_read(self, tmp_path, case, policy):
+        path = tmp_path / "cells.csv"
+        if case == "awkward":
+            path.write_text(AWKWARD_CSV)
+        else:
+            write_csv(gen_hetero(HeteroModelSpec(seed=0)), str(path))
+        columns, raw_labels, read, dropped = oracles.csv_by_rows(
+            str(path), "label", policy)
+        table = load_csv(str(path), label_column="label",
+                         missing_policy=policy)
+        assert [c.tolist() for c in table.columns] == \
+            [c.tolist() for c in columns]
+        labels, values = _encode_labels(raw_labels)
+        assert table.labels.tolist() == labels.tolist()
+        assert table.label_values == values
+        kinds = _infer_kinds(columns, table.feature_names, None)
+        assert table.load_report == {
+            "rows_read": read, "rows_dropped": dropped,
+            "missing_policy": policy,
+            "feature_kinds": dict(zip(table.feature_names, kinds))}
+
+    def test_error_names_first_non_numeric_cell_in_file_order(self,
+                                                              tmp_path):
+        # row 1 column 2 comes before row 2 column 1
+        path = tmp_path / "two_bad.csv"
+        path.write_text("x1,x2,x3,label\n1,oops,3,0\nbad,2,3,1\n")
+        with pytest.raises(ValueError, match="'oops'"):
+            oracles.csv_by_rows(str(path), "label", "drop")
+        with pytest.raises(DataError, match="'oops'"):
+            load_csv(str(path), label_column="label")
+
     def test_round_trip(self, tmp_path):
         table = small_table()
         path = tmp_path / "round.csv"

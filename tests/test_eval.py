@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 from types import SimpleNamespace
@@ -331,10 +332,20 @@ class TestCrossValidate:
         assert good < bad
 
     def test_feature_order_does_not_matter(self):
-        table = self.make_table()
-        a = cross_validate(table, [0, 1, 2], n_folds=5, seed=0)
-        b = cross_validate(table, [2, 0, 1], n_folds=5, seed=0)
-        assert a == pytest.approx(b, abs=1e-9)
+        for name, features in (("tree-5k", [0, 3, 1]),
+                               ("hetero", [5, 0, 12, 1]),
+                               ("xnor", [0, 1, 2])):
+            table = probe_case(name)[0]
+            errors = {cross_validate(table, list(order), n_folds=5, seed=0)
+                      for order in itertools.permutations(features)}
+            assert len(errors) == 1, (name, errors)
+
+    def test_bad_feature_ids_rejected(self):
+        # an id of -1 would read the last column, and 9 is past the end
+        tree = gen_tree(TreeModelSpec(n_samples=2000, seed=1))
+        for features in ([-1], [9], [0, 3, 0], [2, 2]):
+            with pytest.raises(EvalError):
+                cross_validate(tree, features)
 
     def test_small_data_goes_leave_one_out(self):
         table = self.make_table(n=60, seed=8)
