@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .infotheory import mutual_information, pair_information
+from .infotheory import (entropy, information_from_entropies,
+                         label_entropies, pair_information)
 
 MIM = "MIM"
 MIFS = "MIFS"
@@ -56,12 +57,15 @@ class SelectionResult:
 class _PairCache:
     """Memoizes the quantities the criteria share, on the view they read.
 
-    Each unordered pair is computed once, from the table of the lower
-    index, the higher index and the label (pair_information), so a
-    pairwise value does not depend on which order asked for it first.
-    The relevances and pair tables are kept on the view for one label
-    vector at a time: every select_greedy or score_candidate call over
-    that view with equal labels fills each of them once, and other
+    Each feature's H(x) and H(x, y) are counted once, from its (code,
+    label) table (label_entropies), and give its relevance. Each
+    unordered pair is computed once, from the table of the lower index,
+    the higher index and the label, with the two features' entropies
+    as its marginals (pair_information), so a pairwise value does not
+    depend on which order asked for it first and counts only its own
+    table. The entropies and pair tables are kept on the view for one
+    label vector at a time: every select_greedy or score_candidate call
+    over that view with equal labels fills each of them once, and other
     labels replace them with fresh ones. Labels are compared by content
     against a private copy, so a caller that rewrites its array in
     place never reads tables of the old values. The tables live and
@@ -73,20 +77,27 @@ class _PairCache:
         labels = np.asarray(labels, dtype=np.int64)
         shared = view.criteria_tables
         if shared is None or not np.array_equal(shared[0], labels):
-            shared = view.criteria_tables = (labels.copy(), {}, {})
-        self.labels, self.rel, self.pairs = shared
+            h_x, h_xy = (h.tolist()
+                         for h in label_entropies(view.codes, labels))
+            h_y = entropy(labels)
+            rel = [information_from_entropies(a, h_y, ab)
+                   for a, ab in zip(h_x, h_xy)]
+            shared = view.criteria_tables = (
+                labels.copy(), h_x, h_xy, h_y, rel, {})
+        (self.labels, self.h_x, self.h_xy, self.h_y, self.rel,
+         self.pairs) = shared
 
     def relevance(self, i):
-        if i not in self.rel:
-            self.rel[i] = mutual_information(self.codes[i], self.labels)
         return self.rel[i]
 
     def _pair(self, i, j):
-        key = (i, j) if i <= j else (j, i)
-        if key not in self.pairs:
-            self.pairs[key] = pair_information(
-                self.codes[key[0]], self.codes[key[1]], self.labels)
-        return self.pairs[key]
+        a, b = (i, j) if i <= j else (j, i)
+        if (a, b) not in self.pairs:
+            self.pairs[a, b] = pair_information(
+                self.codes[a], self.codes[b], self.labels,
+                marginals=(self.h_x[a], self.h_x[b], self.h_y,
+                           self.h_xy[a], self.h_xy[b]))
+        return self.pairs[a, b]
 
     def feature_mi(self, i, j):
         return self._pair(i, j)[0]

@@ -84,9 +84,9 @@ class DiscretizedView:
 
     codes[j] has values in [0, n_levels[j]); bin_edges[j] is None for
     categorical columns and an ascending interior-edge array otherwise.
-    criteria_tables holds the relevances and pair tables the criteria
-    computed over these codes for one label vector (criteria._PairCache);
-    it is a memo, not part of the view's value.
+    criteria_tables holds the per-feature entropies, relevances and pair
+    tables the criteria computed over these codes for one label vector
+    (criteria._PairCache); it is a memo, not part of the view's value.
     """
 
     codes: list
@@ -271,39 +271,80 @@ def write_csv(table, path, label_name="label"):
 
 
 def _sorted_quantiles(s, qs):
-    """np.quantile(s, qs) for an ascending array s, without its partition.
+    """np.quantile(s, qs) along the last axis of s, ascending along it,
+    without its partition.
 
     The "linear" rule as numpy computes it: virtual index (n - 1) * q,
     its floor and the next element as neighbours, and the two-sided
     lerp (from b where the fraction is at least 0.5), so the values are
-    np.quantile's bit for bit.
+    np.quantile's bit for bit. Each quantile lies between its two
+    neighbours.
     """
-    last = s.shape[0] - 1
+    last = s.shape[-1] - 1
     pos = last * qs
     below = np.floor(pos)
     gamma = pos - below
     i = below.astype(np.intp)
-    a = s[i]
-    b = s[np.minimum(i + 1, last)]
+    a = s[..., i]
+    b = s[..., np.minimum(i + 1, last)]
     diff = b - a
     return np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
 
 
-def _code(col, edges):
-    """Code each value by the count of edges at or below it, compacted so
-    that the levels are contiguous even when a bin came out empty.
+def _tied_edges(s, bins):
+    """Equal-frequency edges of each ascending row of s that never split a
+    tied level, as an (rows, bins - 1) array.
 
-    For ascending edges, repeated ones included, the count is
-    searchsorted(edges, col, side="right"). It is formed by one
-    comparison of every edge with every value, summed into the
-    narrowest unsigned integer that holds the edge count: O(N*E)
-    comparisons for E = bins - 1 edges and a temporary of N*E bytes,
-    against searchsorted's O(N log E) with a slower step per value.
+    Runs of a row's values break wherever the gap between neighbours
+    exceeds 1e-10 of the row's range, so values that differ only by
+    rounding form one run. The edges start as discretize's
+    equal-frequency edges; an edge that falls in a run (above its first
+    value, at or below its last) moves down to the run's first value, so
+    the whole run codes as one level, and edges that fall in one run
+    repeat. A row whose range is below 1e-12 gets every edge at +inf, so
+    no value reaches one and the row is one level.
     """
-    codes = np.add.reduce(edges[:, None] <= col, axis=0,
-                          dtype=np.min_scalar_type(edges.size)
-                          ).astype(np.int64)
-    present = np.bincount(codes, minlength=edges.size + 1) > 0
+    span = s[:, -1] - s[:, 0]
+    edges = _sorted_quantiles(s, np.arange(1, bins) / bins)
+    for row, e, width in zip(s, edges, span):
+        if width < 1e-12:
+            e[:] = np.inf
+            continue
+        tol = 1e-10 * width
+        # the first sorted value at or above each edge: the edge falls in
+        # a run when the value below it is within tol, and only then are
+        # the run starts looked up
+        above = np.searchsorted(row, e)
+        inside = (above > 0) & (row[above] - row[np.maximum(above - 1, 0)]
+                                <= tol)
+        if inside.any():
+            starts = np.flatnonzero(np.concatenate(([True],
+                                                    np.diff(row) > tol)))
+            e[inside] = row[starts[np.searchsorted(starts, above[inside],
+                                                   side="right") - 1]]
+    return edges
+
+
+def _edge_counts(values, edges):
+    """For each value, the count of the edges at or below it.
+
+    values is one row (N,) with edges (E,), or rows (k, N) with one edge
+    row each (k, E). For ascending edges, repeated ones included, the
+    count is searchsorted(edges, value, side="right"). It is formed by
+    one comparison of every edge with every value, summed into the
+    narrowest unsigned integer that holds E: O(N*E) comparisons and a
+    temporary of E bytes per value, against searchsorted's O(N log E)
+    with a slower step per value.
+    """
+    return np.add.reduce(np.moveaxis(edges, -1, 0)[..., None] <= values,
+                         axis=0, dtype=np.min_scalar_type(edges.shape[-1]))
+
+
+def _compact(counts, levels):
+    """int64 codes of edge counts below levels, compacted so that the
+    levels are contiguous even when a bin came out empty."""
+    codes = counts.astype(np.int64)
+    present = np.bincount(codes, minlength=levels) > 0
     if not present.all():
         codes = (np.cumsum(present) - 1)[codes]
     return codes
@@ -313,63 +354,42 @@ def _discretize_column(col, kind, bins, scheme):
     if kind == CATEGORICAL:
         _, codes = np.unique(col, return_inverse=True)
         return codes.astype(np.int64), None
-    if scheme == "equal_frequency":
-        s = np.sort(col)
-        lo, hi = s[0], s[-1]
-    elif scheme == "equal_width":
-        lo, hi = col.min(), col.max()
-    else:
+    if scheme != "equal_frequency":
         raise DataError("unknown scheme %r" % (scheme,))
+    s = np.sort(col)
+    lo, hi = s[0], s[-1]
     # constant up to rounding at the column's own scale
     if hi - lo <= 1e-12 * max(abs(lo), abs(hi)):
         return np.zeros(col.shape[0], dtype=np.int64), np.empty(0)
-    if scheme == "equal_frequency":
-        edges = np.unique(_sorted_quantiles(s, np.arange(1, bins) / bins))
-    else:
-        edges = lo + (hi - lo) * np.arange(1, bins) / bins
-    return _code(col, edges), edges
+    edges = np.unique(_sorted_quantiles(s, np.arange(1, bins) / bins))
+    return _compact(_edge_counts(col, edges), edges.size + 1), edges
+
+
+def tied_equal_frequency_counts(rows, bins):
+    """Equal-frequency bins of each row of rows, (k, N), that never split a
+    tied level: each value's count (_edge_counts) of its row's edges
+    (_tied_edges, read off one sort of the row) at or below it. The
+    counts are not compacted, so an empty bin leaves its count unused."""
+    return _edge_counts(rows, _tied_edges(np.sort(rows, axis=1), bins))
 
 
 def tied_equal_frequency_codes(col, bins):
-    """Equal-frequency codes of a column that never split a tied level.
-
-    The column is sorted once. Runs of the sorted values break wherever
-    the gap between neighbours exceeds 1e-10 of the range, so values
-    that differ only by rounding form one run. The edges start as
-    discretize's equal-frequency edges; an edge that falls in a run
-    (above its first value, at or below its last) moves down to the
-    run's first value, so the whole run codes as one level, and edges
-    that fall in one run repeat. A value codes as the count of edges at
-    or below it (_code). A column whose range is below 1e-12 is one
-    level.
+    """Equal-frequency codes of a column that never split a tied level:
+    tied_equal_frequency_counts of the one row, compacted. A column whose
+    range is below 1e-12 is one level.
     """
-    s = np.sort(col)
-    span = s[-1] - s[0]
-    if span < 1e-12:
-        return np.zeros(col.shape[0], dtype=np.int64)
-    tol = 1e-10 * span
-    edges = _sorted_quantiles(s, np.arange(1, bins) / bins)
-    # the first sorted value at or above each edge: the edge falls in a
-    # run when the value below it is within tol, and only then are the
-    # run starts looked up
-    above = np.searchsorted(s, edges)
-    inside = (above > 0) & (s[above] - s[np.maximum(above - 1, 0)] <= tol)
-    if inside.any():
-        starts = np.flatnonzero(np.concatenate(([True], np.diff(s) > tol)))
-        edges[inside] = s[starts[np.searchsorted(starts, above[inside],
-                                                 side="right") - 1]]
-    return _code(col, edges)
+    return _compact(tied_equal_frequency_counts(col[None], bins)[0], bins)
 
 
 def discretize(table, bins=5, scheme="equal_frequency"):
     """Integer-code every column: categorical bijectively, continuous binned.
 
-    equal_frequency places interior edges at the 1/B..(B-1)/B quantiles
-    (duplicate edges collapse), read off one sort of the column by
-    np.quantile's "linear" rule, so they equal np.quantile's; equal_width
-    slices [min, max] evenly. Both code a value by the count of edges at
-    or below it (_code). A continuous column whose range is at most
-    1e-12 of its largest |value| is one level.
+    equal_frequency, the one scheme, places interior edges at the
+    1/B..(B-1)/B quantiles (duplicate edges collapse), read off one sort
+    of the column by np.quantile's "linear" rule, so they equal
+    np.quantile's, and codes a value by the count of edges at or below
+    it (_edge_counts), compacted. A continuous column whose range is at
+    most 1e-12 of its largest |value| is one level.
     Labels are never binned; they stay class codes on the DataTable.
     """
     if bins < 2:

@@ -6,16 +6,18 @@ the standardized label from the subset's columns and the candidate's
 column, whose binned values upgrade that subset's mutual information
 with the label beyond what per-feature plug-in estimates can see. The
 standardized columns and label form one block whose QR factor R is
-computed once per run (standardized_block); each term solves its fit on
-R's columns, which is the fit over all samples exactly, with lstsq's
-rank cutoff for the N-row problem, and then makes one pass over the
-samples to form its reconstruction. The reconstruction is binned so
-that values tied up to rounding stay one level, whichever solver
-computed them (data.tied_equal_frequency_codes). A null fit, as on a
-parity interaction, is answered by the plug-in on the joint code of
-the subset's and candidate's discretized columns. The diagnostics read
-the same label fit (r_balance) and the same feature correlation matrix
-that assigns subsets (partition_correlation).
+computed once per run (standardized_block). Before each greedy step,
+every uncached candidate of one subset is scored in one stacked pass
+(label_conditional_entropies): one batched solve on R's columns, which
+is each fit over all samples exactly, with lstsq's rank cutoff for the
+N-row problem; one product that forms every reconstruction; one sort
+and one edge count that bin them all, so that values tied up to
+rounding stay one level whichever solver computed them; and one count
+of every (code, label) table. A null fit, as on a parity interaction,
+is answered by the plug-in on the joint code of the subset's and
+candidate's discretized columns. The diagnostics read the same label
+fit (r_balance) and the same feature correlation matrix that assigns
+subsets (partition_correlation).
 
 Per-subset accounting: a subset created from feature x starts at the
 plug-in estimate I(x:y). When feature x joins an existing subset S, the
@@ -34,12 +36,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import discretize, tied_equal_frequency_codes
+from .data import discretize, tied_equal_frequency_counts
 from .infotheory import (entropy, information_from_entropies, joint_codes,
-                         joint_entropy)
+                         joint_entropy, label_entropies,
+                         row_conditional_entropies)
 
 
 _EPS = np.finfo(np.float64).eps
+# cap on one stacked (candidates, N) float buffer of the label fits
+_STACK_MAX_BYTES = 1 << 22
 
 
 class HofsError(ValueError):
@@ -69,43 +74,72 @@ def standardized_block(data):
     return block, np.linalg.qr(block.T, mode="r")
 
 
-def label_conditional_entropy(block, R, idx, view_codes, labels, bins):
-    """Conditional label entropy given a linear reconstruction of the label.
+def label_conditional_entropies(block, R, subset, candidates, view_codes,
+                                labels, bins):
+    """Conditional label entropy given a linear reconstruction of the label,
+    for the fit on idx = subset + [x] of each candidate x, as an array.
 
-    The reconstruction is the least-squares fit of the standardized
+    Each reconstruction is the least-squares fit of the standardized
     label (block's last row) on the feature rows idx of block. It is
     solved on the small factor R of standardized_block: block.T = QR
     with orthonormal Q, so min |X_idx b - s| over N samples is
     min |R[:, idx] b - R[:, m]| over m+1 rows, with the same solution.
-    R[:, idx] has the singular values of X_idx, and rcond is lstsq's
-    default for the N-row problem, eps * max(N, k), so the rank cutoff
-    is the one an lstsq over N would apply. The fit's variance is
+    One batched SVD of the stacked R[:, idx] solves every fit with
+    lstsq's rank cutoff for the N-row problem: singular values above
+    eps * max(N, |idx|) of the largest. A fit's variance is
     |R[:, idx] b|^2 / N, since the block rows have zero mean.
 
-    When the fit varies, the samples are coded by the reconstruction,
-    one pass over N (the sum of b_j times block row j), binned at equal
-    frequency by tied_equal_frequency_codes so that levels tied up to
-    rounding stay one level whichever solver computed them. When it is
-    numerically constant the linear fit carries no information (as in
-    parity interactions), and the samples are coded by the joint code of
-    the columns idx of view_codes, the run's discretized columns. The
-    estimate is the plug-in conditional entropy of the class codes given
-    either coding, so every entropy in the score stays on one discrete
-    scale; on a null fit it is the plug-in H(y | columns idx), which is
-    r_balance's numerator.
+    The varying fits' weights, zero off idx, give every reconstruction
+    in one product with the block's feature rows. They are binned
+    together (data.tied_equal_frequency_counts), so that levels tied up
+    to rounding stay one level whichever solver computed them, and one
+    bincount gives each plug-in H(y | code)
+    (infotheory.row_conditional_entropies). A numerically constant fit
+    carries no information (as in parity interactions): its samples are
+    coded by the joint code of the columns idx of view_codes, the run's
+    discretized columns, so the estimate is the plug-in
+    H(y | columns idx), which is r_balance's numerator. Either way every
+    entropy in the score stays on one discrete scale. The candidates go
+    in chunks whose stacked (k, N) float buffers stay within
+    _STACK_MAX_BYTES, so memory per candidate is O(N).
     """
-    n = block.shape[1]
-    R_idx = R[:, idx]
-    beta = np.linalg.lstsq(R_idx, R[:, -1], rcond=_EPS * max(n, len(idx)))[0]
-    fit = R_idx @ beta
-    if float(fit @ fit) / n < 1e-12:
-        codes = joint_codes([view_codes[j] for j in idx])
-    else:
-        recon = beta[0] * block[idx[0]]
-        for b, j in zip(beta[1:], idx[1:]):
-            recon += b * block[j]
-        codes = tied_equal_frequency_codes(recon, bins)
-    return joint_entropy([codes, labels]) - entropy(codes)
+    m, n = block.shape[0] - 1, block.shape[1]
+    subset = list(subset)
+    candidates = list(candidates)
+    rcond = _EPS * max(n, len(subset) + 1)
+    out = np.empty(len(candidates))
+    step = max(1, _STACK_MAX_BYTES // (8 * n))
+    for at in range(0, len(candidates), step):
+        chunk = candidates[at:at + step]
+        idx = np.array([subset + [x] for x in chunk], dtype=np.intp)
+        # (k, rows of R, |idx|): candidate r's columns R[:, idx[r]]
+        A = np.swapaxes(R.T[idx], 1, 2)
+        U, sv, Vt = np.linalg.svd(A, full_matrices=False)
+        keep = sv > rcond * sv[:, :1]
+        coef = np.divide(np.einsum("kri,r->ki", U, R[:, -1]), sv,
+                         out=np.zeros_like(sv), where=keep)
+        beta = np.einsum("kij,ki->kj", Vt, coef)
+        fit = np.einsum("kri,ki->kr", A, beta)
+        null = np.einsum("kr,kr->k", fit, fit) / n < 1e-12
+        for r in np.flatnonzero(null):
+            codes = joint_codes([view_codes[j] for j in idx[r]])
+            out[at + r] = joint_entropy([codes, labels]) - entropy(codes)
+        live = np.flatnonzero(~null)
+        if not live.size:
+            continue
+        weights = np.zeros((live.size, m))
+        np.put_along_axis(weights, idx[live], beta[live], axis=1)
+        recon = weights @ block[:-1]
+        codes = tied_equal_frequency_counts(recon, bins)
+        out[at + live] = row_conditional_entropies(codes, labels, bins)
+    return out
+
+
+def label_conditional_entropy(block, R, idx, view_codes, labels, bins):
+    """label_conditional_entropies for the one fit on the feature rows
+    idx: a subset idx[:-1] and the candidate idx[-1]."""
+    return float(label_conditional_entropies(
+        block, R, idx[:-1], idx[-1:], view_codes, labels, bins)[0])
 
 
 @dataclass
@@ -207,7 +241,7 @@ class _EngineState:
     """Per-run caches: discretized view, the standardized block and its QR
     factor (standardized_block; stdcols and label_std are its rows),
     per-feature entropies and relevances, the signed correlation matrix,
-    and memoized conditional terms."""
+    and the conditional terms, filled a subset at a time (fill_terms)."""
 
     def __init__(self, data, config):
         self.config = config
@@ -218,40 +252,53 @@ class _EngineState:
         self.label_std = self.block[-1]
         self.constant = [not col.any() for col in self.stdcols]
         self.label_constant = not self.label_std.any()
-        # H(x) and H(x,y) per feature, counted once: the relevance
-        # I(x:y) sums them with H(y), and every conditional term of x
-        # reads them again
-        self.h_x = [entropy(c) for c in self.view.codes]
-        self.h_xy = [joint_entropy([c, self.labels]) for c in self.view.codes]
+        # H(x) and H(x,y) per feature, from one count of its (code, label)
+        # table: the relevance I(x:y) sums them with H(y), and every
+        # conditional term of x reads them again
+        self.h_x, self.h_xy = label_entropies(self.view.codes, self.labels)
         h_y = entropy(self.labels)
         self.rel = np.array([information_from_entropies(hx, h_y, hxy)
-                             for hx, hxy in zip(self.h_x, self.h_xy)])
+                             for hx, hxy in zip(self.h_x.tolist(),
+                                                self.h_xy.tolist())])
         self.corr = correlation_matrix(data)
         self.term_cache = {}
 
-    def conditional_term(self, subset, candidate):
-        """Estimate of I(S:y | x) for candidate x and subset S.
+    def fill_terms(self, subset, candidates):
+        """Cache the conditional term of every candidate for subset that is
+        not cached yet, from one stacked pass over the subset's label fits
+        (label_conditional_entropies).
 
-        Computed as -H(x) + H(x,y) - Hm, where Hm is the conditional
-        entropy of the label given its least-squares reconstruction from
-        the columns of S and x (label_conditional_entropy), so
-        relevance(x) + term telescopes to H(y) - Hm. When that fit is
-        null, Hm is the plug-in H(y | S, x) and the term is exactly the
-        plug-in I(S:y | x). A constant candidate or constant label
+        A term estimates I(S:y | x) for candidate x and subset S, as
+        -H(x) + H(x,y) - Hm, where Hm is the conditional entropy of the
+        label given its least-squares reconstruction from the columns of
+        S and x, so relevance(x) + term telescopes to H(y) - Hm. When that
+        fit is null, Hm is the plug-in H(y | S, x) and the term is exactly
+        the plug-in I(S:y | x). A constant candidate or constant label
         contributes nothing and scores zero by convention.
         """
+        members = tuple(subset.feature_ids)
+        fits = []
+        for c in candidates:
+            if (members, c) in self.term_cache:
+                continue
+            if self.constant[c] or self.label_constant:
+                self.term_cache[members, c] = 0.0
+            else:
+                fits.append(c)
+        if fits:
+            cond_h = label_conditional_entropies(
+                self.block, self.R, members, fits, self.view.codes,
+                self.labels, self.config.bins)
+            terms = -self.h_x[fits] + self.h_xy[fits] - cond_h
+            self.term_cache.update(zip([(members, c) for c in fits],
+                                       terms.tolist()))
+
+    def conditional_term(self, subset, candidate):
+        """Estimate of I(S:y | x) for candidate x and subset S (fill_terms)."""
         key = (tuple(subset.feature_ids), candidate)
-        if key in self.term_cache:
-            return self.term_cache[key]
-        if self.constant[candidate] or self.label_constant:
-            self.term_cache[key] = 0.0
-            return 0.0
-        cond_h = label_conditional_entropy(
-            self.block, self.R, [*subset.feature_ids, candidate],
-            self.view.codes, self.labels, self.config.bins)
-        term = -self.h_x[candidate] + self.h_xy[candidate] - cond_h
-        self.term_cache[key] = term
-        return term
+        if key not in self.term_cache:
+            self.fill_terms(subset, [candidate])
+        return self.term_cache[key]
 
     def commit(self, partition, fid):
         """Place fid into the partition, updating the subset estimates."""
@@ -341,6 +388,8 @@ def run_hofs(data, T, config=None):
     selected = set()
     for t in range(1, T + 1):
         cands = [c for c in range(m) if c not in selected]
+        for sub in partition.subsets:
+            state.fill_terms(sub, cands)
         scores = np.empty(len(cands))
         terms = np.empty((len(cands), partition.n_subsets))
         for i, cand in enumerate(cands):

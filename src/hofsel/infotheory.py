@@ -11,8 +11,11 @@ sort on the counting path), which keeps their order. Codes must be
 nonnegative: a negative code would share its key with another tuple, so
 it raises EstimatorError.
 
-pair_information reads three pairwise quantities from one contingency
-table. Values are natural-log by default; pass base=2 for bits.
+label_entropies counts each column's (code, label) table once and reads
+H(x) and H(x, y) from it; pair_information reads three pairwise
+quantities from one contingency table, and takes the per-column
+entropies from label_entropies when they are already counted. Values
+are natural-log by default; pass base=2 for bits.
 0 * log 0 is 0 by convention and no bias correction is applied.
 """
 
@@ -175,32 +178,91 @@ def conditional_mutual_information(a, b, given, base=None):
     return _convert(_clamp(h_ag + h_bg - h_abg - h_g), base)
 
 
-def pair_information(a, b, given):
-    """I(a : b), I(a : b | given) and I(a, b : given) in nats.
+def _entropy_reader(cols):
+    """h(*axes): the joint entropy of the columns at those axes, in nats.
 
-    One bincount fills the dense (a, b, given) contingency table, and
-    each of the seven entropies is that of one of its marginals, whose
-    nonzero cells in C order are the counts _joint_counts gives for
-    those columns. The sums follow mutual_information and
-    conditional_mutual_information term by term, so the three values
-    equal theirs bit for bit. Columns whose table would span more than
-    _RADIX_PER_SAMPLE cells per sample are handed to those estimators.
+    One bincount fills the dense contingency table of the columns, and
+    each entropy is that of one of its marginals, whose nonzero cells in
+    C order are the counts _joint_counts gives for those columns, so h
+    equals joint_entropy bit for bit. Columns whose table would span
+    more than _RADIX_PER_SAMPLE cells per sample form no table; h then
+    counts the columns at its axes by _joint_counts.
     """
-    cols = _as_columns([a, b, given])
     keys = joint_codes(cols)
     shape = tuple(int(c.max()) + 1 for c in cols)
     if math.prod(shape) > _RADIX_PER_SAMPLE * keys.shape[0]:
         # joint_codes compacted these keys, so they index no table
-        return (mutual_information(cols[0], cols[1]),
-                conditional_mutual_information(cols[0], cols[1], cols[2]),
-                mutual_information(cols[:2], cols[2]))
+        return lambda *axes: _h_from_counts(
+            _joint_counts([cols[k] for k in axes]))
     table = np.bincount(keys, minlength=math.prod(shape)).reshape(shape)
 
     def h(*axes):
-        counts = table.sum(axis=tuple(k for k in range(3) if k not in axes))
+        counts = table.sum(axis=tuple(k for k in range(len(cols))
+                                      if k not in axes))
         return _h_from_counts(counts[counts > 0])
 
-    h_ab, h_g, h_abg = h(0, 1), h(2), h(0, 1, 2)
-    return (information_from_entropies(h(0), h(1), h_ab),
-            _clamp(h(0, 2) + h(1, 2) - h_abg - h_g),
+    return h
+
+
+def label_entropies(cols, labels):
+    """H(x) and H(x, labels) of every column x, as two arrays in nats.
+
+    Each column's (code, label) table is counted once (_entropy_reader):
+    H(x, labels) is read from its cells and H(x) from its row sums, so
+    the two equal joint_entropy([x, labels]) and entropy(x) bit for bit.
+    The relevance I(x : labels) is information_from_entropies(H(x),
+    H(labels), H(x, labels)), and pair_information takes both as a
+    pair's marginals.
+    """
+    labels = _as_columns(labels)[0]
+    h_x = []
+    h_xy = []
+    for x in _as_columns(cols):
+        h = _entropy_reader([x, labels])
+        h_x.append(h(0))
+        h_xy.append(h(0, 1))
+    return np.array(h_x), np.array(h_xy)
+
+
+def row_conditional_entropies(rows, labels, levels):
+    """H(labels | row) in nats for each row of rows, a (k, N) array of
+    nonnegative codes below levels.
+
+    One bincount of (row, code, label) keys fills every row's (code,
+    label) table. H(row, labels) is read from a table's nonzero cells in
+    C order and H(row) from its nonzero row sums, which are the counts
+    _joint_counts gives for (row, labels) and for row, so each value
+    equals joint_entropy([row, labels]) - entropy(row) bit for bit.
+    """
+    n_labels = int(labels.max()) + 1
+    keys = np.multiply(rows, n_labels, dtype=np.int64)
+    keys += labels
+    keys += (np.arange(len(rows)) * (levels * n_labels))[:, None]
+    tables = np.bincount(keys.ravel(), minlength=len(rows) * levels
+                         * n_labels).reshape(len(rows), levels * n_labels)
+    sums = tables.reshape(len(rows), levels, n_labels).sum(axis=2)
+    return np.array([_h_from_counts(cells[cells > 0])
+                     - _h_from_counts(row[row > 0])
+                     for cells, row in zip(tables, sums)])
+
+
+def pair_information(a, b, given, marginals=None):
+    """I(a : b), I(a : b | given) and I(a, b : given) in nats.
+
+    The seven entropies are read from the (a, b, given) contingency
+    table (_entropy_reader). Five of them belong to one column or to one
+    column with given: marginals, when passed, holds those already
+    counted, (H(a), H(b), H(given), H(a, given), H(b, given)) as
+    label_entropies and entropy give them, and the table then supplies
+    only H(a, b) and H(a, b, given). The sums follow mutual_information
+    and conditional_mutual_information term by term, so the three values
+    equal theirs bit for bit, whichever way the marginals were counted.
+    """
+    h = _entropy_reader(_as_columns([a, b, given]))
+    if marginals is None:
+        marginals = (h(0), h(1), h(2), h(0, 2), h(1, 2))
+    h_a, h_b, h_g, h_ag, h_bg = marginals
+    h_ab, h_abg = h(0, 1), h(0, 1, 2)
+    return (information_from_entropies(h_a, h_b, h_ab),
+            _clamp(h_ag + h_bg - h_abg - h_g),
             information_from_entropies(h_ab, h_g, h_abg))

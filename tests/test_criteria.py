@@ -18,7 +18,7 @@ from hofsel.criteria import (
 from hofsel.criteria import _PairCache
 from hofsel.data import DataTable, discretize
 from hofsel.infotheory import (conditional_mutual_information,
-                               mutual_information)
+                               mutual_information, pair_information)
 from hofsel.synth import TreeModelSpec, gen_tree
 
 
@@ -124,6 +124,47 @@ class TestPairCache:
                     mutual_information([a, b], y)
 
 
+    def test_values_equal_pair_information_on_random_views(self):
+        # marginals counted per feature give the values a pair's own
+        # table gives, also for categorical columns of many levels and
+        # pairs whose table is above 4N cells (pair_information's
+        # fallback)
+        rng = np.random.default_rng(17)
+        above = 0
+        for trial in range(12):
+            n = int(rng.integers(30, 400))
+            levels = [2, 3, 7, 12, int(rng.integers(20, 60))]
+            cols = [rng.integers(0, k, size=n).astype(np.float64)
+                    for k in levels]
+            labels = rng.integers(0, int(rng.integers(2, 6)), size=n)
+            labels = np.unique(labels, return_inverse=True)[1]
+            table = DataTable(columns=cols,
+                              feature_names=["f%d" % i
+                                             for i in range(len(cols))],
+                              feature_kinds=["categorical"] * len(cols),
+                              labels=labels)
+            view = discretize(table, bins=5)
+            assert max(view.n_levels) > 5
+            cache = _PairCache(view, labels)
+            codes = view.codes
+            for i in range(len(codes)):
+                assert cache.relevance(i) == \
+                    mutual_information(codes[i], labels)
+                for j in range(len(codes)):
+                    if i == j:
+                        continue
+                    a, b = min(i, j), max(i, j)
+                    got = (cache.feature_mi(i, j),
+                           cache.feature_cmi_given_label(i, j),
+                           cache.joint_relevance(i, j))
+                    assert got == pair_information(codes[a], codes[b],
+                                                   labels), (trial, i, j)
+                    cells = (view.n_levels[a] * view.n_levels[b]
+                             * (int(labels.max()) + 1))
+                    above += cells > 4 * n
+        assert above > 0
+
+
 def _run(kind, view, labels, T):
     r = select_greedy(Criterion(kind), view, labels, T)
     return r.order, r.scores, r.per_step_candidates
@@ -169,24 +210,32 @@ class TestSharedTables:
 
     def test_six_criteria_over_one_view_count_each_table_once(
             self, monkeypatch):
+        # every table is counted by one _entropy_reader: a feature's
+        # (code, label) table once, and a pair's (a, b, label) table once,
+        # with the two features' entropies handed in as its marginals
         import hofsel.criteria as criteria
+        import hofsel.infotheory as infotheory
         table = gen_tree(TreeModelSpec(n_samples=5000, seed=0))
         T = table.n_features
         fresh = _fresh_runs(table, table.labels, T)
-        calls = {"pair": 0, "rel": 0}
+        tables = {2: 0, 3: 0}
+        handed = []
+        reader = infotheory._entropy_reader
+        pair = criteria.pair_information
 
-        def counted(name, fn):
-            def call(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return call
+        def counted_reader(cols):
+            tables[len(cols)] += 1
+            return reader(cols)
 
-        monkeypatch.setattr(criteria, "pair_information",
-                            counted("pair", criteria.pair_information))
-        monkeypatch.setattr(criteria, "mutual_information",
-                            counted("rel", criteria.mutual_information))
+        def counted_pair(*args, **kwargs):
+            handed.append(kwargs.get("marginals") is not None)
+            return pair(*args, **kwargs)
+
+        monkeypatch.setattr(infotheory, "_entropy_reader", counted_reader)
+        monkeypatch.setattr(criteria, "pair_information", counted_pair)
         shared = _shared_runs(discretize(table, bins=5), table.labels, T)
-        assert calls == {"pair": T * (T - 1) // 2, "rel": T}
+        assert tables == {2: T, 3: T * (T - 1) // 2}
+        assert handed == [True] * (T * (T - 1) // 2)
         assert shared == fresh
 
 

@@ -623,30 +623,31 @@ class TestLabelFit:
 
     def test_one_factor_per_run_and_one_fit_per_term_miss(self, small_tree,
                                                            monkeypatch):
-        # the hook points the benchmark reads: label_conditional_entropy
-        # is looked up in the hofs namespace once per term miss, no lstsq
-        # sees the N sample rows, and the QR factor is computed once
+        # the QR factor is computed once per run, no solve sees the N
+        # sample rows, and the stacked label fits compute each distinct
+        # (subset members, candidate) key of the run exactly once
         n = small_tree.n_samples
-        calls = {"lce": 0, "qr": 0, "lstsq_rows": []}
-        lce = hofs.label_conditional_entropy
+        calls = {"keys": [], "qr": 0, "svd_rows": []}
+        stacked = hofs.label_conditional_entropies
         qr = np.linalg.qr
-        lstsq = np.linalg.lstsq
+        svd = np.linalg.svd
 
-        def counted_lce(*args, **kwargs):
-            calls["lce"] += 1
-            return lce(*args, **kwargs)
+        def counted_stacked(block, R, subset, candidates, *args, **kwargs):
+            calls["keys"] += [(tuple(subset), c) for c in candidates]
+            return stacked(block, R, subset, candidates, *args, **kwargs)
 
         def counted_qr(a, *args, **kwargs):
             calls["qr"] += 1
             return qr(a, *args, **kwargs)
 
-        def counted_lstsq(a, *args, **kwargs):
-            calls["lstsq_rows"].append(np.shape(a)[0])
-            return lstsq(a, *args, **kwargs)
+        def counted_svd(a, *args, **kwargs):
+            calls["svd_rows"].append(np.shape(a)[-2])
+            return svd(a, *args, **kwargs)
 
-        monkeypatch.setattr(hofs, "label_conditional_entropy", counted_lce)
+        monkeypatch.setattr(hofs, "label_conditional_entropies",
+                            counted_stacked)
         monkeypatch.setattr(np.linalg, "qr", counted_qr)
-        monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
         partition, trace = run_hofs(small_tree, 9, HofsConfig())
 
         # distinct (subset members, candidate) keys looked up in the run
@@ -663,10 +664,136 @@ class TestLabelFit:
         assert [list(m) for m in members] == \
             [s.feature_ids for s in partition.subsets]
         assert len(misses) > 0
-        assert calls["lce"] == len(misses)
+        assert sorted(calls["keys"]) == sorted(misses)
         assert calls["qr"] == 1
-        assert len(calls["lstsq_rows"]) == len(misses)
-        assert n not in calls["lstsq_rows"]
+        assert 0 < len(calls["svd_rows"]) < len(misses)
+        assert n not in calls["svd_rows"]
+
+
+def stacked_and_single(state, prefix, candidates):
+    """The stacked entropies of prefix + [x] for every candidate x, and
+    the one-candidate call for each."""
+    args = (state.view.codes, state.labels, state.config.bins)
+    stacked = hofs.label_conditional_entropies(
+        state.block, state.R, prefix, candidates, *args)
+    single = [label_conditional_entropy(state.block, state.R,
+                                        prefix + [c], *args)
+              for c in candidates]
+    return stacked.tolist(), single
+
+
+def every_prefix(table, T, config):
+    """(state, prefix, candidates) for every prefix of every subset that
+    run_hofs selects, with every other feature as a candidate."""
+    state = _EngineState(table, config)
+    partition, _ = run_hofs(table, T, config)
+    for sub in partition.subsets:
+        for k in range(1, len(sub.feature_ids) + 1):
+            prefix = sub.feature_ids[:k]
+            yield state, prefix, [c for c in range(table.n_features)
+                                  if c not in prefix]
+
+
+class TestStackedFits:
+    """One stacked pass per subset gives each candidate's one-fit value."""
+
+    @pytest.mark.parametrize("make, T, min_terms, min_nulls", [
+        (lambda: gen_tree(TreeModelSpec(n_samples=5000, seed=1)), 9, 30, 0),
+        (lambda: gen_hetero(HeteroModelSpec(seed=0)), 14, 150, 1),
+        (lambda: gen_hetero(HeteroModelSpec(seed=1)), 14, 150, 0),
+        (lambda: gen_hetero(HeteroModelSpec(seed=2)), 14, 150, 0),
+        (xnor_table, 3, 6, 1),
+    ], ids=["tree-5k", "hetero-0", "hetero-1", "hetero-2", "xnor"])
+    def test_every_term_equals_the_one_candidate_call(
+            self, make, T, min_terms, min_nulls, monkeypatch):
+        # xnor's and hetero seed 0's null fits take the joint-code branch
+        # inside a stack of fits that do not; the stacked and the single
+        # call each look joint_codes up once per null fit
+        calls = [0]
+        joint_codes = hofs.joint_codes
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return joint_codes(*args, **kwargs)
+
+        monkeypatch.setattr(hofs, "joint_codes", counted)
+        compared = 0
+        nulls = 0
+        for state, prefix, cands in every_prefix(make(), T, HofsConfig()):
+            calls[0] = 0
+            stacked, single = stacked_and_single(state, prefix, cands)
+            assert stacked == single, (prefix, cands)
+            assert calls[0] % 2 == 0
+            compared += len(cands)
+            nulls += calls[0] // 2
+        assert compared >= min_terms
+        assert nulls >= min_nulls
+
+    def test_constant_candidate_among_others(self):
+        # a constant column fits as a zero row of R: its fit is the
+        # subset's alone, and the engine scores it 0 by convention
+        table = gen_hetero(HeteroModelSpec(seed=0))
+        table = DataTable(
+            columns=table.columns + [np.full(table.n_samples, 2.5)],
+            feature_names=table.feature_names + ["const"],
+            feature_kinds=table.feature_kinds + ["continuous"],
+            labels=table.labels, label_values=table.label_values)
+        state = _EngineState(table, HofsConfig())
+        cands = [1, 20, 5, 6]
+        stacked, single = stacked_and_single(state, [0], cands)
+        assert stacked == single
+        assert single[1] == label_conditional_entropy(
+            state.block, state.R, [0], state.view.codes, state.labels,
+            state.config.bins)
+        state.fill_terms(Subset([0], 0.0), cands)
+        assert state.term_cache[(0,), 20] == 0.0
+        for c, h in zip(cands, single):
+            if c != 20:
+                assert state.term_cache[(0,), c] == \
+                    -state.h_x[c] + state.h_xy[c] - h
+
+    def test_bins_above_256_count_into_uint16(self):
+        # 256 edges overflow a uint8 count: the stacked codes must still
+        # tell 257 levels apart, as the oracle's binning does
+        state = _EngineState(gen_tree(TreeModelSpec(n_samples=5000, seed=2)),
+                             HofsConfig(bins=257))
+        prefix, cands = [0, 3], [1, 2, 4, 5, 8]
+        stacked, single = stacked_and_single(state, prefix, cands)
+        assert stacked == single
+        for c, got in zip(cands, stacked):
+            X = np.column_stack([state.stdcols[f] for f in prefix + [c]])
+            recon = X @ np.linalg.lstsq(X, state.label_std, rcond=None)[0]
+            assert np.unique(oracles.tied_quantile_codes(recon, 257)).size \
+                == 257
+            assert abs(got - binned_entropy(recon, state.labels, 257)) \
+                <= 1e-12
+
+    def test_byte_cap_splits_a_subset_into_chunks(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        n, m = 1500, 24
+        cols = [rng.normal(size=n) for _ in range(m)]
+        labels = ((cols[0] + cols[1] - cols[2] > 0).astype(np.int64)
+                  + (cols[3] > 0.5))
+        table = DataTable(columns=cols,
+                          feature_names=["f%d" % i for i in range(m)],
+                          feature_kinds=["continuous"] * m, labels=labels)
+        state = _EngineState(table, HofsConfig())
+        prefix = [0, 3]
+        cands = [c for c in range(m) if c not in prefix]
+        whole, single = stacked_and_single(state, prefix, cands)
+        # seven rows per chunk: the 22 candidates take four chunks
+        monkeypatch.setattr(hofs, "_STACK_MAX_BYTES", 7 * 8 * n + 5)
+        shapes = []
+        svd = np.linalg.svd
+
+        def counted_svd(a, *args, **kwargs):
+            shapes.append(np.shape(a)[0])
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        chunked, _ = stacked_and_single(state, prefix, cands)
+        assert shapes[:4] == [7, 7, 7, 1]
+        assert chunked == whole == single
 
 
 class TestNullFit:
