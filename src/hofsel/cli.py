@@ -27,6 +27,9 @@ from .synth import HeteroModelSpec, TreeModelSpec, gen_hetero, gen_tree
 
 _BASELINES = ("mim", "mifs", "jmi", "mrmr", "cmim", "speccmi")
 _METHODS = ("hofs",) + _BASELINES
+# fewer than two bins is a configuration error from every command
+_bins_option = click.option("--bins", type=click.IntRange(min=2), default=5,
+                            show_default=True)
 
 
 def _resolve_out_dir(out_dir):
@@ -108,7 +111,7 @@ def main():
               type=click.Choice(_METHODS))
 @click.option("-T", "--n-select", type=int, default=None,
               help="How many features to select (default: all).")
-@click.option("--bins", type=int, default=5, show_default=True)
+@_bins_option
 @click.option("-C", "--coverage", type=float, default=0.5, show_default=True,
               help="Coverage threshold for joining a subset.")
 @click.option("--beta", type=float, default=1.0, show_default=True,
@@ -237,7 +240,7 @@ def synth(model, n_samples, seed, flip_rate, out_path):
 @click.option("--k-list", default=None,
               help="Comma-separated feature counts to evaluate.")
 @click.option("--folds", type=int, default=10, show_default=True)
-@click.option("--bins", type=int, default=5, show_default=True)
+@_bins_option
 @click.option("-C", "--coverage", type=float, default=0.5, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out-dir", default=None)
@@ -311,7 +314,7 @@ def bench(data_path, label_column, methods, k_list, folds, bins, coverage,
 @click.option("--data", "data_path", required=True)
 @click.option("--label-column", default="label", show_default=True)
 @click.option("-T", "--n-select", type=int, default=None)
-@click.option("--bins", type=int, default=5, show_default=True)
+@_bins_option
 @click.option("-C", "--coverage", type=float, default=0.5, show_default=True)
 @click.option("--out-dir", default=None)
 def diagnose(data_path, label_column, n_select, bins, coverage, out_dir):

@@ -340,16 +340,6 @@ def _edge_counts(values, edges):
                          axis=0, dtype=np.min_scalar_type(edges.shape[-1]))
 
 
-def _compact(counts, levels):
-    """int64 codes of edge counts below levels, compacted so that the
-    levels are contiguous even when a bin came out empty."""
-    codes = counts.astype(np.int64)
-    present = np.bincount(codes, minlength=levels) > 0
-    if not present.all():
-        codes = (np.cumsum(present) - 1)[codes]
-    return codes
-
-
 def _discretize_column(col, kind, bins, scheme):
     if kind == CATEGORICAL:
         _, codes = np.unique(col, return_inverse=True)
@@ -362,7 +352,13 @@ def _discretize_column(col, kind, bins, scheme):
     if hi - lo <= 1e-12 * max(abs(lo), abs(hi)):
         return np.zeros(col.shape[0], dtype=np.int64), np.empty(0)
     edges = np.unique(_sorted_quantiles(s, np.arange(1, bins) / bins))
-    return _compact(_edge_counts(col, edges), edges.size + 1), edges
+    codes = _edge_counts(col, edges).astype(np.int64)
+    # compacted, so that the levels are contiguous even when a bin came
+    # out empty
+    present = np.bincount(codes, minlength=edges.size + 1) > 0
+    if not present.all():
+        codes = (np.cumsum(present) - 1)[codes]
+    return codes, edges
 
 
 def tied_equal_frequency_counts(rows, bins):
@@ -371,14 +367,6 @@ def tied_equal_frequency_counts(rows, bins):
     (_tied_edges, read off one sort of the row) at or below it. The
     counts are not compacted, so an empty bin leaves its count unused."""
     return _edge_counts(rows, _tied_edges(np.sort(rows, axis=1), bins))
-
-
-def tied_equal_frequency_codes(col, bins):
-    """Equal-frequency codes of a column that never split a tied level:
-    tied_equal_frequency_counts of the one row, compacted. A column whose
-    range is below 1e-12 is one level.
-    """
-    return _compact(tied_equal_frequency_counts(col[None], bins)[0], bins)
 
 
 def discretize(table, bins=5, scheme="equal_frequency"):

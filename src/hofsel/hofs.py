@@ -15,9 +15,10 @@ and one edge count that bin them all, so that values tied up to
 rounding stay one level whichever solver computed them; and one count
 of every (code, label) table. A null fit, as on a parity interaction,
 is answered by the plug-in on the joint code of the subset's and
-candidate's discretized columns. The diagnostics read the same label
-fit (r_balance) and the same feature correlation matrix that assigns
-subsets (partition_correlation).
+candidate's discretized columns. The diagnostics read the run's own
+results: the balance ratio reads each subset's booked estimate
+(r_balance), and the subset correlations read the same feature
+correlation matrix that assigns subsets (partition_correlation).
 
 Per-subset accounting: a subset created from feature x starts at the
 plug-in estimate I(x:y). When feature x joins an existing subset S, the
@@ -133,13 +134,6 @@ def label_conditional_entropies(block, R, subset, candidates, view_codes,
         codes = tied_equal_frequency_counts(recon, bins)
         out[at + live] = row_conditional_entropies(codes, labels, bins)
     return out
-
-
-def label_conditional_entropy(block, R, idx, view_codes, labels, bins):
-    """label_conditional_entropies for the one fit on the feature rows
-    idx: a subset idx[:-1] and the candidate idx[-1]."""
-    return float(label_conditional_entropies(
-        block, R, idx[:-1], idx[-1:], view_codes, labels, bins)[0])
 
 
 @dataclass
@@ -433,13 +427,20 @@ def accumulate_partition(data, feature_order, config=None):
 
 
 def r_balance(partition, data, config=None, per_subset=False):
-    """Ratio of discrete to reconstruction-based conditional label entropy.
+    """Ratio of discrete to reconstruction-based conditional label entropy,
+    read from the partition's own subset estimates.
 
-    For each subset X the numerator is the plug-in H(y|X) on discretized
-    codes and the denominator is label_conditional_entropy on the
-    subset's columns, which is that same plug-in when the subset's label
-    fit is null, so such a subset reads 1. Subsets with near-zero
-    denominators are excluded with a warning. Returns the mean ratio, optionally with the
+    partition must come from run_hofs or accumulate_partition on the same
+    data and config. For each subset X the numerator is the plug-in
+    H(y|X) on discretized codes and the denominator is H(y) minus the
+    subset's mi_estimate. A subset with two or more members booked its
+    estimate as H(y) minus the conditional label entropy given the label
+    fit that added its last member (_EngineState.fill_terms), so the
+    denominator is that fit's entropy, read without refitting; when the
+    fit was null it is the plug-in on the same codes, so such a subset
+    reads 1. A singleton's estimate is its plug-in relevance, so it
+    reads 1 to rounding. Subsets with near-zero denominators are
+    excluded with a warning. Returns the mean ratio, optionally with the
     per-subset values (None where excluded)."""
     if config is None:
         config = HofsConfig()
@@ -450,14 +451,13 @@ def r_balance(partition, data, config=None, per_subset=False):
         if per_subset:
             return float("nan"), [None] * len(partition.subsets)
         return float("nan")
-    block, R = standardized_block(data)
+    h_y = entropy(labels)
     ratios = []
     detail = []
     for sub in partition.subsets:
         cols = [view.codes[f] for f in sub.feature_ids]
         num = joint_entropy(cols + [labels]) - joint_entropy(cols)
-        den = label_conditional_entropy(block, R, list(sub.feature_ids),
-                                        view.codes, labels, config.bins)
+        den = h_y - sub.mi_estimate
         if abs(den) < 1e-9:
             warnings.warn("subset %r excluded from balance ratio: "
                           "near-zero conditional entropy" %

@@ -275,6 +275,41 @@ class TestDiagnoseCommand:
         else:
             assert between is None
 
+    def test_diagnose_factors_the_block_once(self, runner, tree_csv,
+                                             tmp_path, monkeypatch):
+        # run_hofs factors the standardized block; the balance ratio reads
+        # the run's subset estimates and factors nothing again
+        calls = [0]
+        qr = np.linalg.qr
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counted)
+        result = runner.invoke(main, ["diagnose", "--data", tree_csv,
+                                      "--out-dir", str(tmp_path / "diag")])
+        assert result.exit_code == 0, result.output
+        assert calls[0] == 1
+
+
+class TestBinsOption:
+    @pytest.mark.parametrize("args", [
+        ["select", "--method", "hofs"],
+        ["select", "--method", "mim"],
+        ["bench", "--k-list", "2", "--folds", "3"],
+        ["diagnose"],
+    ], ids=["select-hofs", "select-mim", "bench", "diagnose"])
+    def test_one_bin_is_a_configuration_error(self, runner, tree_csv,
+                                              tmp_path, args):
+        out_dir = tmp_path / "out"
+        result = runner.invoke(main, args + ["--data", tree_csv,
+                                             "--bins", "1",
+                                             "--out-dir", str(out_dir)])
+        assert result.exit_code == 2, result.output
+        assert "--bins" in result.output
+        assert not out_dir.exists()
+
 
 class TestTopLevel:
     def test_version_flag(self, runner):

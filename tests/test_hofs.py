@@ -19,7 +19,6 @@ from hofsel.hofs import (
     accumulate_partition,
     assign_subset,
     hofs_score,
-    label_conditional_entropy,
     partition_correlation,
     r_balance,
     run_hofs,
@@ -469,6 +468,55 @@ class TestDiagnostics:
         assert per == [None]
         assert len(caught) == 1
 
+    @pytest.mark.parametrize("make, T", [
+        (lambda: gen_tree(TreeModelSpec(n_samples=5000, seed=1)), 9),
+        (lambda: gen_hetero(HeteroModelSpec(seed=0)), 20),
+    ], ids=["tree-5k", "hetero"])
+    def test_balance_factors_and_solves_nothing(self, make, T, monkeypatch):
+        table = make()
+        config = HofsConfig()
+        partition, _ = run_hofs(table, T, config)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("r_balance refactored or refit the data")
+
+        monkeypatch.setattr(hofs, "standardized_block", refuse)
+        for name in ("qr", "svd", "lstsq"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        mean, per = r_balance(partition, table, config, per_subset=True)
+        assert len(per) == partition.n_subsets
+        assert math.isfinite(mean)
+
+    @pytest.mark.parametrize("make, T, min_fits", [
+        (lambda: gen_tree(TreeModelSpec(n_samples=5000, seed=1)), 9, 1),
+        (lambda: gen_hetero(HeteroModelSpec(seed=0)), 20, 1),
+        (lambda: gen_hetero(HeteroModelSpec(seed=1)), 20, 1),
+        (lambda: gen_hetero(HeteroModelSpec(seed=2)), 20, 1),
+        (xnor_table, 3, 0),
+    ], ids=["tree-5k", "hetero-0", "hetero-1", "hetero-2", "xnor"])
+    def test_booked_estimate_is_label_entropy_less_the_last_fit(
+            self, make, T, min_fits):
+        # the identity r_balance's denominator rests on: a subset of two
+        # or more members booked H(y) - H(y | the fit that added its last
+        # member), and a singleton its plug-in relevance (xnor's columns
+        # are uncorrelated, so each is a singleton, one of them constant)
+        table = make()
+        config = HofsConfig()
+        state = _EngineState(table, config)
+        partition, _ = run_hofs(table, T, config)
+        h_y = entropy(table.labels)
+        fits = 0
+        for sub in partition.subsets:
+            ids = sub.feature_ids
+            if len(ids) > 1:
+                want = engine_entropy(state, ids)
+                fits += 1
+            else:
+                code = state.view.codes[ids[0]]
+                want = joint_entropy([code, table.labels]) - entropy(code)
+            assert abs(h_y - sub.mi_estimate - want) <= 1e-12, ids
+        assert fits >= min_fits
+
     def test_partition_correlation_shapes(self, small_tree):
         config = HofsConfig()
         partition, _ = run_hofs(small_tree, 9, config)
@@ -547,9 +595,9 @@ def enumerated_terms(table, T, config):
 
 
 def engine_entropy(state, idx):
-    return label_conditional_entropy(state.block, state.R, idx,
-                                     state.view.codes, state.labels,
-                                     state.config.bins)
+    return hofs.label_conditional_entropies(
+        state.block, state.R, idx[:-1], idx[-1:], state.view.codes,
+        state.labels, state.config.bins).item()
 
 
 class TestLabelFit:
@@ -676,9 +724,9 @@ def stacked_and_single(state, prefix, candidates):
     args = (state.view.codes, state.labels, state.config.bins)
     stacked = hofs.label_conditional_entropies(
         state.block, state.R, prefix, candidates, *args)
-    single = [label_conditional_entropy(state.block, state.R,
-                                        prefix + [c], *args)
-              for c in candidates]
+    single = [hofs.label_conditional_entropies(
+        state.block, state.R, prefix, [c], *args).item()
+        for c in candidates]
     return stacked.tolist(), single
 
 
@@ -742,9 +790,9 @@ class TestStackedFits:
         cands = [1, 20, 5, 6]
         stacked, single = stacked_and_single(state, [0], cands)
         assert stacked == single
-        assert single[1] == label_conditional_entropy(
-            state.block, state.R, [0], state.view.codes, state.labels,
-            state.config.bins)
+        assert single[1] == hofs.label_conditional_entropies(
+            state.block, state.R, [], [0], state.view.codes, state.labels,
+            state.config.bins).item()
         state.fill_terms(Subset([0], 0.0), cands)
         assert state.term_cache[(0,), 20] == 0.0
         for c, h in zip(cands, single):
@@ -830,7 +878,7 @@ class TestNullFit:
         (lambda: gen_hetero(HeteroModelSpec(seed=0)), 14, 1),
     ], ids=["tree-5k", "hetero"])
     def test_null_fits_per_run(self, make, T, expected, monkeypatch):
-        # label_conditional_entropy looks joint_codes up in the hofs
+        # label_conditional_entropies looks joint_codes up in the hofs
         # namespace only on a null fit
         table = make()
         calls = [0]
