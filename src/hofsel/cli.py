@@ -32,6 +32,21 @@ _bins_option = click.option("--bins", type=click.IntRange(min=2), default=5,
                             show_default=True)
 
 
+def _check_coverage(ctx, param, value):
+    # the comparison is false for nan, which click.FloatRange lets through
+    if not 0.0 <= value <= 1.0:
+        raise click.BadParameter("%r is not in [0, 1]." % (value,))
+    return value
+
+
+# a coverage outside [0, 1] is a configuration error from every command,
+# whether or not a HOFS run reads it
+_coverage_option = click.option("-C", "--coverage", type=float, default=0.5,
+                                show_default=True, callback=_check_coverage,
+                                help="Coverage threshold for joining a "
+                                     "subset.")
+
+
 def _resolve_out_dir(out_dir):
     path = out_dir or os.environ.get("HOFSEL_OUT_DIR") or "."
     os.makedirs(path, exist_ok=True)
@@ -112,8 +127,7 @@ def main():
 @click.option("-T", "--n-select", type=int, default=None,
               help="How many features to select (default: all).")
 @_bins_option
-@click.option("-C", "--coverage", type=float, default=0.5, show_default=True,
-              help="Coverage threshold for joining a subset.")
+@_coverage_option
 @click.option("--beta", type=float, default=1.0, show_default=True,
               help="Redundancy weight for MIFS.")
 @click.option("--missing-policy", default="drop", show_default=True,
@@ -139,10 +153,10 @@ def select(data_path, label_column, method, n_select, bins, coverage, beta,
             return
         table = _load_table(data_path, label_column, missing_policy)
         t = n_select if n_select is not None else table.n_features
-        out = _resolve_out_dir(out_dir)
         if method == "hofs":
             config = HofsConfig(C=coverage, bins=bins)
             partition, trace = run_hofs(table, t, config)
+            out = _resolve_out_dir(out_dir)
             names = table.feature_names
             payload = {
                 "config": cfg,
@@ -183,6 +197,7 @@ def select(data_path, label_column, method, n_select, bins, coverage, beta,
             view = discretize(table, bins=bins)
             criterion = Criterion(kind=method, beta=beta)
             result = select_greedy(criterion, view, table.labels, t)
+            out = _resolve_out_dir(out_dir)
             names = table.feature_names
             payload = {
                 "config": cfg,
@@ -241,7 +256,7 @@ def synth(model, n_samples, seed, flip_rate, out_path):
               help="Comma-separated feature counts to evaluate.")
 @click.option("--folds", type=int, default=10, show_default=True)
 @_bins_option
-@click.option("-C", "--coverage", type=float, default=0.5, show_default=True)
+@_coverage_option
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out-dir", default=None)
 def bench(data_path, label_column, methods, k_list, folds, bins, coverage,
@@ -315,7 +330,7 @@ def bench(data_path, label_column, methods, k_list, folds, bins, coverage,
 @click.option("--label-column", default="label", show_default=True)
 @click.option("-T", "--n-select", type=int, default=None)
 @_bins_option
-@click.option("-C", "--coverage", type=float, default=0.5, show_default=True)
+@_coverage_option
 @click.option("--out-dir", default=None)
 def diagnose(data_path, label_column, n_select, bins, coverage, out_dir):
     """Run the subset selector and report model health diagnostics."""

@@ -7,6 +7,7 @@ that the entropy estimators consume.
 """
 
 import csv
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,36 +121,99 @@ def _encode_labels(raw):
     """Map raw label cells (numeric or string) to codes 0..L-1.
 
     Codes follow sorted order of the distinct values, numerically when every
-    value parses as a number and lexicographically otherwise.
+    value parses as a number (as float() parses it; NaN labels form one
+    class, coded last) and by code point otherwise.
+    """
+    raw = np.asarray(raw)
+    try:
+        raw = raw.astype(np.float64)
+    except ValueError:
+        numeric = False
+    else:
+        numeric = True
+    distinct, codes = np.unique(raw, return_inverse=True)
+    values = distinct.tolist()
+    if numeric:
+        values = [int(v) if v.is_integer() else v for v in values]
+    return codes.astype(np.int64), values
+
+
+def _float_body(fh, delimiter, width):
+    """The rest of fh as a (rows, width) float64 array, parsed in C by one
+    np.loadtxt pass, or None when that pass rejects the text or reads
+    another width.
+
+    No cell is a comment and '"' quotes a cell, as in csv.reader. The
+    pass rejects every cell that float() rejects, and also empty and NA
+    cells, "1_000", non-ASCII digits, whitespace-only lines and rows of
+    unequal width: those files take the per-column read.
     """
     try:
-        numeric = [float(v) for v in raw]
-    except (TypeError, ValueError):
-        numeric = None
-    if numeric is not None:
-        distinct = sorted(set(numeric))
-        lookup = {v: i for i, v in enumerate(distinct)}
-        codes = np.array([lookup[v] for v in numeric], dtype=np.int64)
-        values = [int(v) if float(v).is_integer() else v for v in distinct]
-    else:
-        distinct = sorted(set(raw))
-        lookup = {v: i for i, v in enumerate(distinct)}
-        codes = np.array([lookup[v] for v in raw], dtype=np.int64)
-        values = list(distinct)
-    return codes, values
+        with warnings.catch_warnings():
+            # a body without rows reads as an empty array, with a warning
+            warnings.simplefilter("ignore", UserWarning)
+            body = np.loadtxt(fh, delimiter=delimiter, comments=None,
+                              quotechar='"', dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    return body if body.shape[1] == width else None
+
+
+def _columns_by_cells(rows, n_cols, label_idx, path):
+    """The per-column read of load_csv's body rows: the stripped label
+    cells, and the feature values as a (features, rows) float64 array
+    with NaN for missing cells."""
+
+    def parse_cell(cell):
+        cell = cell.strip()
+        if cell == "" or cell.lower() in ("na", "nan", "null"):
+            return np.nan
+        try:
+            return float(cell)
+        except ValueError:
+            raise DataError("non-numeric cell %r outside the label column" % cell)
+
+    rows = [row for row in rows if len(row) == n_cols]
+    if not rows:
+        raise DataError("zero usable rows in %s" % (path,))
+    cells = list(zip(*rows))
+    labs = np.array([cell.strip() for cell in cells.pop(label_idx)])
+    matrix = np.empty((len(cells), len(rows)))
+    rejected = []
+    for j, col in enumerate(cells):
+        try:
+            matrix[j] = np.array(col, dtype=np.float64)
+        except ValueError:
+            rejected.append(j)
+    # rejected columns are read cell by cell in file order, so that the
+    # error names the first non-numeric cell, as a row-by-row read would
+    for i, row in enumerate(zip(*[cells[j] for j in rejected])):
+        matrix[rejected, i] = [parse_cell(cell) for cell in row]
+    return labs, matrix
 
 
 def load_csv(path, label_column, delimiter=",", has_header=True,
              missing_policy="drop", categorical_overrides=None):
     """Parse a delimited text file into a DataTable.
 
-    label_column may be a header name or a 0-based column index. Rows
-    whose width is not the header's drop. Each feature column is read by
-    one np.array(cells, dtype=float64), which parses a str as float()
-    does; a column it rejects is read cell by cell, where "", na, nan and
-    null (any case, stripped) are missing and any other non-numeric cell
-    raises DataError. Non-finite values are missing. Rows with missing
-    cells are dropped (missing_policy="drop") or imputed with the column
+    label_column may be a header name or a 0-based column index. The
+    header is the first non-empty row, read by csv.reader. The body takes
+    one of two reads, picked from the text alone:
+    - one np.loadtxt pass in C (_float_body), when every cell is a number
+      that it parses and every row has the header's width: a file of
+      numbers only, such as write_csv writes for numeric labels. Its
+      values are float()'s.
+    - the per-column read, for every other file: csv.reader, then rows
+      whose width is not the header's drop, and each feature column is
+      read by one np.array(cells, dtype=float64), which parses a str as
+      float() does; a column it rejects is read cell by cell, where "",
+      na, nan and null (any case, stripped) are missing and any other
+      non-numeric cell raises DataError naming the first one in file
+      order. Empty and NA cells, "1_000", non-ASCII digits, string
+      labels, whitespace-only lines and rows of another width all take
+      this read.
+    Non-finite feature values are missing. Rows with missing cells are
+    dropped (missing_policy="drop") or imputed with the column
     mode/median (missing_policy="impute"); a missing label always drops.
     A load report (rows read, rows dropped, inferred kinds) is attached
     to the result.
@@ -161,17 +225,23 @@ def load_csv(path, label_column, delimiter=",", has_header=True,
     except OSError as exc:
         raise DataError("cannot read %s: %s" % (path, exc))
     with fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        rows = [row for row in reader if row]
-    if not rows:
-        raise DataError("empty file %s" % (path,))
+        first = next((row for row in csv.reader(fh, delimiter=delimiter)
+                      if row), None)
+        if first is None:
+            raise DataError("empty file %s" % (path,))
+        if not has_header:
+            fh.seek(0)
+        body = _float_body(fh, delimiter, len(first))
+        if body is None:
+            fh.seek(0)
+            rows = [row for row in csv.reader(fh, delimiter=delimiter)
+                    if row]
+            body = rows[1:] if has_header else rows
 
     if has_header:
-        header = [h.strip() for h in rows[0]]
-        body = rows[1:]
+        header = [h.strip() for h in first]
     else:
-        header = ["c%d" % i for i in range(len(rows[0]))]
-        body = rows
+        header = ["c%d" % i for i in range(len(first))]
     if isinstance(label_column, int):
         if not 0 <= label_column < len(header):
             raise DataError("label column index %d out of range" % label_column)
@@ -183,43 +253,22 @@ def load_csv(path, label_column, delimiter=",", has_header=True,
 
     n_cols = len(header)
     feature_names = [h for i, h in enumerate(header) if i != label_idx]
-
-    def parse_cell(cell):
-        cell = cell.strip()
-        if cell == "" or cell.lower() in ("na", "nan", "null"):
-            return np.nan
-        try:
-            return float(cell)
-        except ValueError:
-            raise DataError("non-numeric cell %r outside the label column" % cell)
-
     rows_read = len(body)
-    body = [row for row in body if len(row) == n_cols]
-    if not body:
-        raise DataError("zero usable rows in %s" % (path,))
-    cells = list(zip(*body))
-    labs = np.array([cell.strip() for cell in cells.pop(label_idx)])
-    matrix = np.empty((len(cells), len(body)))
-    rejected = []
-    for j, col in enumerate(cells):
-        try:
-            matrix[j] = np.array(col, dtype=np.float64)
-        except ValueError:
-            rejected.append(j)
-    # rejected columns are read cell by cell in file order, so that the
-    # error names the first non-numeric cell, as a row-by-row read would
-    for i, row in enumerate(zip(*[cells[j] for j in rejected])):
-        matrix[rejected, i] = [parse_cell(cell) for cell in row]
-    # non-finite values are missing; a missing label can never be
-    # imputed, so those rows always drop
-    keep = labs != ""
+    if isinstance(body, np.ndarray):
+        labs = body[:, label_idx]
+        matrix = body.T[[j for j in range(n_cols) if j != label_idx]]
+        keep = np.ones(rows_read, dtype=bool)
+    else:
+        labs, matrix = _columns_by_cells(body, n_cols, label_idx, path)
+        # a missing label can never be imputed, so those rows always drop
+        keep = labs != ""
+    # non-finite feature values are missing
     if missing_policy == "drop":
         keep &= np.isfinite(matrix).all(axis=0)
     if not keep.any():
         raise DataError("zero usable rows in %s" % (path,))
     matrix = np.compress(keep, matrix, axis=1)
-    raw_labels = labs[keep].tolist()
-
+    raw_labels = labs[keep]
     if missing_policy == "impute":
         for j, col in enumerate(matrix):
             bad = ~np.isfinite(col)

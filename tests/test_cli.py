@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 import hofsel
-from hofsel.cli import _atomic_write, main
+from hofsel.cli import _METHODS, _atomic_write, main
 from hofsel.data import load_csv
 from hofsel.synth import TreeModelSpec, gen_tree
 from hofsel.data import write_csv
@@ -308,6 +308,43 @@ class TestBinsOption:
                                              "--out-dir", str(out_dir)])
         assert result.exit_code == 2, result.output
         assert "--bins" in result.output
+        assert not out_dir.exists()
+
+
+class TestCoverageOption:
+    @pytest.mark.parametrize("value", ["1.5", "-0.5", "nan"])
+    @pytest.mark.parametrize("args", [
+        ["select", "--method", method] for method in _METHODS] + [
+        ["bench", "--methods", method, "--k-list", "2", "--folds", "3"]
+        for method in _METHODS] + [["diagnose"]],
+        ids=["select-" + m for m in _METHODS] + ["bench-" + m for m in
+                                                 _METHODS] + ["diagnose"])
+    def test_out_of_range_is_a_configuration_error(self, runner, tree_csv,
+                                                   tmp_path, args, value):
+        # rejected as the command line is parsed, whether or not a HOFS
+        # run would read it
+        out_dir = tmp_path / "out"
+        result = runner.invoke(main, args + ["--data", tree_csv,
+                                             "-C", value,
+                                             "--out-dir", str(out_dir)])
+        assert result.exit_code == 2, result.output
+        assert "-C" in result.output
+        assert not out_dir.exists()
+
+
+class TestSelectOutDir:
+    @pytest.mark.parametrize("args", [
+        ["--method", "hofs", "-T", "0"],
+        ["--method", "mim", "-T", "99"],
+        ["--method", "hofs", "-C", "1.5"],
+    ], ids=["hofs-T0", "mim-T99", "hofs-C1.5"])
+    def test_configuration_error_creates_no_directory(self, runner,
+                                                      tree_csv, tmp_path,
+                                                      args):
+        out_dir = tmp_path / "out"
+        result = runner.invoke(main, ["select", "--data", tree_csv] + args
+                               + ["--out-dir", str(out_dir)])
+        assert result.exit_code == 2, result.output
         assert not out_dir.exists()
 
 

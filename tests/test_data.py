@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -47,29 +49,117 @@ AWKWARD_CSV = (
 )
 
 
+# Files for the row-by-row comparison beside AWKWARD_CSV and a written
+# hetero table. "quoted", "extremes" and "nan-label" are numbers only, so
+# load_csv reads them in one C pass; the C pass rejects every other one,
+# or reads it at another width than the header's, and the per-column
+# read takes over.
+ROW_BY_ROW_FILES = {
+    "awkward": AWKWARD_CSV,
+    # a default np.loadtxt would skip this row as a comment
+    "comment": "a,b,label\n1,2,0\n#9,10,0\n3,4,1\n",
+    "quoted": 'a,b,label\n"1.5",2,0\n3,"-4e-3",1\n" 5 ","6",0\n',
+    "underscore": "a,b,label\n1_000,2,0\n\uff13,4,1\n5,6,0\n",
+    # a whitespace-only line is a row of one cell: read, then dropped
+    "blank": "a,b,label\n1,2,0\n   \n3,4,1\n",
+    "ragged": "a,b,label\n1,2,0\n3,4\n5,6,1\n",
+    # every body row is one cell wider than the header, so all drop
+    "wide": "a,b,label\n1,2,0,9\n3,4,1,9\n5,6,0,9\n",
+    "string-labels": "a,b,label\n1,2,no\n3,4,yes\n5,6,no\n",
+    "extremes": "a,b,label\n1e500,2,0\n1e-320,4,1\n5,-1e500,0\n"
+                "6,1e-320,1\n7,8,0\n",
+    "nan-label": "a,b,label\n1,2,0\n3,4,nan\n5,6,1\n7,8,nan\n",
+}
+
+
 class TestLoadCsv:
     @pytest.mark.parametrize("policy", ["drop", "impute"])
-    @pytest.mark.parametrize("case", ["awkward", "hetero"])
+    @pytest.mark.parametrize("case", ["hetero"] + list(ROW_BY_ROW_FILES))
     def test_matches_row_by_row_read(self, tmp_path, case, policy):
         path = tmp_path / "cells.csv"
-        if case == "awkward":
-            path.write_text(AWKWARD_CSV)
-        else:
+        if case == "hetero":
             write_csv(gen_hetero(HeteroModelSpec(seed=0)), str(path))
-        columns, raw_labels, read, dropped = oracles.csv_by_rows(
-            str(path), "label", policy)
+        else:
+            path.write_text(ROW_BY_ROW_FILES[case])
+        try:
+            columns, raw_labels, read, dropped = oracles.csv_by_rows(
+                str(path), "label", policy)
+        except ValueError as exc:
+            # both reads name the first non-numeric cell in file order
+            with pytest.raises(DataError, match=re.escape(str(exc))):
+                load_csv(str(path), label_column="label",
+                         missing_policy=policy)
+            return
+        if not raw_labels:
+            with pytest.raises(DataError, match="zero usable rows"):
+                load_csv(str(path), label_column="label",
+                         missing_policy=policy)
+            return
         table = load_csv(str(path), label_column="label",
                          missing_policy=policy)
         assert [c.tolist() for c in table.columns] == \
             [c.tolist() for c in columns]
         labels, values = _encode_labels(raw_labels)
         assert table.labels.tolist() == labels.tolist()
-        assert table.label_values == values
+        # equal, with a NaN label value equal to NaN
+        np.testing.assert_equal(table.label_values, values)
         kinds = _infer_kinds(columns, table.feature_names, None)
         assert table.load_report == {
             "rows_read": read, "rows_dropped": dropped,
             "missing_policy": policy,
             "feature_kinds": dict(zip(table.feature_names, kinds))}
+
+    def test_label_codes_follow_sorted_values(self):
+        # numbers by value, every NaN one class coded last; strings by
+        # code point; cells parsed as numbers code as their floats do
+        labels, values = _encode_labels(["2", "nan", "10", " 1.5", "nan"])
+        assert labels.tolist() == [1, 3, 2, 0, 3]
+        np.testing.assert_equal(values, [1.5, 2, 10, np.nan])
+        labels, values = _encode_labels(np.array([2.0, np.nan, 10.0]))
+        assert labels.tolist() == [0, 2, 1]
+        labels, values = _encode_labels(["b", "B", "10", "2"])
+        assert labels.tolist() == [3, 2, 0, 1]
+        assert values == ["10", "2", "B", "b"]
+
+    @pytest.mark.parametrize("case", ["hetero", "awkward"])
+    def test_one_c_pass_or_the_per_column_read(self, tmp_path, monkeypatch,
+                                               case):
+        # a file of numbers only is parsed by one np.loadtxt call, and
+        # csv.reader reads its header row alone; a file that call rejects
+        # is read again by the per-column read
+        import hofsel.data as data
+        path = tmp_path / "cells.csv"
+        if case == "hetero":
+            write_csv(gen_hetero(HeteroModelSpec(seed=0)), str(path))
+        else:
+            path.write_text(AWKWARD_CSV)
+        calls = {"loadtxt": 0, "rows": 0, "by_cells": 0}
+        loadtxt, reader, by_cells = np.loadtxt, data.csv.reader, \
+            data._columns_by_cells
+
+        def counted_loadtxt(*args, **kwargs):
+            calls["loadtxt"] += 1
+            return loadtxt(*args, **kwargs)
+
+        def counted_reader(*args, **kwargs):
+            for row in reader(*args, **kwargs):
+                calls["rows"] += 1
+                yield row
+
+        def counted_by_cells(*args, **kwargs):
+            calls["by_cells"] += 1
+            return by_cells(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counted_loadtxt)
+        monkeypatch.setattr(data.csv, "reader", counted_reader)
+        monkeypatch.setattr(data, "_columns_by_cells", counted_by_cells)
+        table = load_csv(str(path), label_column="label")
+        if case == "hetero":
+            assert table.n_samples == 1000
+            assert calls == {"loadtxt": 1, "rows": 1, "by_cells": 0}
+        else:
+            # the header, then the header and the 14 body rows again
+            assert calls == {"loadtxt": 1, "rows": 16, "by_cells": 1}
 
     def test_error_names_first_non_numeric_cell_in_file_order(self,
                                                               tmp_path):
