@@ -266,6 +266,8 @@ def bench(data_path, label_column, methods, k_list, folds, bins, coverage,
     def body():
         method_list = [m.strip().lower() for m in methods.split(",")
                        if m.strip()]
+        if not method_list:
+            raise CriterionError("--methods lists no method")
         for m in method_list:
             if m not in _METHODS:
                 raise CriterionError("unknown method %r" % (m,))

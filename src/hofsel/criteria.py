@@ -43,8 +43,8 @@ class Criterion:
         if kind is None:
             raise CriterionError("unknown criterion %r" % (self.kind,))
         self.kind = kind
-        if self.kind == MIFS and self.beta < 0:
-            raise CriterionError("MIFS beta must be >= 0")
+        if self.kind == MIFS and not 0 <= self.beta < math.inf:
+            raise CriterionError("MIFS beta must be finite and >= 0")
 
 
 @dataclass

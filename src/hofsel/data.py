@@ -389,12 +389,10 @@ def _edge_counts(values, edges):
                          axis=0, dtype=np.min_scalar_type(edges.shape[-1]))
 
 
-def _discretize_column(col, kind, bins, scheme):
+def _discretize_column(col, kind, bins):
     if kind == CATEGORICAL:
         _, codes = np.unique(col, return_inverse=True)
         return codes.astype(np.int64), None
-    if scheme != "equal_frequency":
-        raise DataError("unknown scheme %r" % (scheme,))
     s = np.sort(col)
     lo, hi = s[0], s[-1]
     # constant up to rounding at the column's own scale
@@ -431,11 +429,13 @@ def discretize(table, bins=5, scheme="equal_frequency"):
     """
     if bins < 2:
         raise DataError("bins must be >= 2")
+    if scheme != "equal_frequency":
+        raise DataError("unknown scheme %r" % (scheme,))
     codes = []
     edges = []
     levels = []
     for kind, col in zip(table.feature_kinds, table.columns):
-        c, e = _discretize_column(col, kind, bins, scheme)
+        c, e = _discretize_column(col, kind, bins)
         codes.append(c)
         edges.append(e)
         levels.append(int(c.max()) + 1 if c.size else 0)

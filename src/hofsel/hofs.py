@@ -5,8 +5,9 @@ conditional term fits the label once: a least-squares reconstruction of
 the standardized label from the subset's columns and the candidate's
 column, whose binned values upgrade that subset's mutual information
 with the label beyond what per-feature plug-in estimates can see. The
-standardized columns and label form one block whose QR factor R is
-computed once per run (standardized_block). Before each greedy step,
+standardized columns and label form one block (standardized_block):
+its QR factor R is computed once per run, and the Gram matrix of its
+feature rows over N assigns the subsets. Before each greedy step,
 every uncached candidate of one subset is scored in one stacked pass
 (label_conditional_entropies): one batched solve on R's columns, which
 is each fit over all samples exactly, with lstsq's rank cutoff for the
@@ -17,8 +18,8 @@ of every (code, label) table. A null fit, as on a parity interaction,
 is answered by the plug-in on the joint code of the subset's and
 candidate's discretized columns. The diagnostics read the run's own
 results: the balance ratio reads each subset's booked estimate
-(r_balance), and the subset correlations read the same feature
-correlation matrix that assigns subsets (partition_correlation).
+(r_balance), and the subset correlations read the matrix that assigns
+the subsets, from the same block (partition_correlation).
 
 Per-subset accounting: a subset created from feature x starts at the
 plug-in estimate I(x:y). When feature x joins an existing subset S, the
@@ -53,15 +54,12 @@ class HofsError(ValueError):
 
 
 def standardized_block(data):
-    """The run's standardized columns as one block, and its QR factor.
+    """The run's standardized columns as one (m+1, N) float64 block.
 
-    Returns (block, R). block is (m+1, N) float64: row j is feature j
-    at zero mean and unit variance, and row m is the standardized
-    label. A column whose std is at most 1e-12 of its largest |value|
-    is constant up to rounding at its own scale and gives a row of
-    zeros. R is the upper triangular factor of block.T = QR,
-    (m+1, m+1) when N > m, computed once; the transposed view is
-    Fortran-ordered, so qr takes it without a C-order copy.
+    Row j is feature j at zero mean and unit variance, and row m is the
+    standardized label. A column whose std is at most 1e-12 of its
+    largest |value| is constant up to rounding at its own scale and
+    gives a row of zeros.
     """
     block = np.empty((data.n_features + 1, data.n_samples))
     for row, col in zip(block, [*data.columns,
@@ -72,7 +70,7 @@ def standardized_block(data):
         else:
             np.subtract(col, col.mean(), out=row)
             row /= sd
-    return block, np.linalg.qr(block.T, mode="r")
+    return block
 
 
 def label_conditional_entropies(block, R, subset, candidates, view_codes,
@@ -82,7 +80,7 @@ def label_conditional_entropies(block, R, subset, candidates, view_codes,
 
     Each reconstruction is the least-squares fit of the standardized
     label (block's last row) on the feature rows idx of block. It is
-    solved on the small factor R of standardized_block: block.T = QR
+    solved on block's small QR factor R (_EngineState): block.T = QR
     with orthonormal Q, so min |X_idx b - s| over N samples is
     min |R[:, idx] b - R[:, m]| over m+1 rows, with the same solution.
     One batched SVD of the stacked R[:, idx] solves every fit with
@@ -219,29 +217,30 @@ class SelectionTrace:
     config: dict = field(default_factory=dict)
 
 
-def correlation_matrix(data):
-    """Signed Pearson correlations between the feature columns.
+def correlation_matrix(block):
+    """Signed Pearson correlations between the feature rows of a
+    standardized_block: their Gram matrix over N.
 
-    A constant column has no defined correlation; its row and column
-    read 0, so it never exceeds a coverage threshold C >= 0.
+    A column constant up to rounding is a zero row there, by the rule
+    that also flags it constant for the label fits, so its row and
+    column read 0 and it never exceeds a coverage threshold C >= 0.
     """
-    with np.errstate(invalid="ignore", divide="ignore"):
-        corr = np.corrcoef(np.vstack([np.asarray(c, dtype=np.float64)
-                                      for c in data.columns]))
-    return np.nan_to_num(np.atleast_2d(corr), nan=0.0)
+    return block[:-1] @ block[:-1].T / block.shape[1]
 
 
 class _EngineState:
-    """Per-run caches: discretized view, the standardized block and its QR
-    factor (standardized_block; stdcols and label_std are its rows),
-    per-feature entropies and relevances, the signed correlation matrix,
-    and the conditional terms, filled a subset at a time (fill_terms)."""
+    """Per-run caches: discretized view, the standardized block (rows
+    stdcols and label_std) with its QR factor R, computed once (block.T
+    is Fortran-ordered, so qr takes it without a copy), its feature
+    correlations corr, per-feature entropies and relevances, and the
+    conditional terms, filled a subset at a time (fill_terms)."""
 
     def __init__(self, data, config):
         self.config = config
         self.view = discretize(data, bins=config.bins)
         self.labels = data.labels
-        self.block, self.R = standardized_block(data)
+        self.block = standardized_block(data)
+        self.R = np.linalg.qr(self.block.T, mode="r")
         self.stdcols = self.block[:-1]
         self.label_std = self.block[-1]
         self.constant = [not col.any() for col in self.stdcols]
@@ -254,7 +253,7 @@ class _EngineState:
         self.rel = np.array([information_from_entropies(hx, h_y, hxy)
                              for hx, hxy in zip(self.h_x.tolist(),
                                                 self.h_xy.tolist())])
-        self.corr = correlation_matrix(data)
+        self.corr = correlation_matrix(self.block)
         self.term_cache = {}
 
     def fill_terms(self, subset, candidates):
@@ -483,7 +482,7 @@ def partition_correlation(partition, data):
     members before it. max_between is the largest signed mean
     correlation between the members of two different subsets, None
     when there are fewer than two subsets."""
-    corr = correlation_matrix(data)
+    corr = correlation_matrix(standardized_block(data))
     per_subset = []
     for sub in partition.subsets:
         ids = list(sub.feature_ids)

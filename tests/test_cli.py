@@ -125,6 +125,17 @@ class TestSelectCommand:
                             .split("\n", 1)[1])
         assert dumped["command"] == "select"
 
+    @pytest.mark.parametrize("beta", ["nan", "inf", "-1"])
+    def test_bad_mifs_beta_is_a_configuration_error(self, runner, tree_csv,
+                                                    tmp_path, beta):
+        out_dir = tmp_path / "out"
+        result = runner.invoke(main, ["select", "--data", tree_csv,
+                                      "--method", "mifs", "--beta", beta,
+                                      "-T", "3", "--out-dir", str(out_dir)])
+        assert result.exit_code == 2, result.output
+        assert "beta" in result.output
+        assert not (out_dir / "selection.json").exists()
+
     def test_nan_score_is_numeric_failure(self, runner, tree_csv, tmp_path,
                                           monkeypatch):
         from hofsel.hofs import _EngineState
@@ -220,6 +231,23 @@ class TestBenchCommand:
                                       "--methods", "mim,sorcery"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("methods", [",", " , ", ""])
+    def test_empty_method_list_rejected(self, runner, tree_csv, tmp_path,
+                                        monkeypatch, methods):
+        import hofsel.cli as cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the CSV was read")
+
+        monkeypatch.setattr(cli, "load_csv", refuse)
+        out_dir = tmp_path / "bench"
+        result = runner.invoke(main, ["bench", "--data", tree_csv,
+                                      "--methods", methods,
+                                      "--out-dir", str(out_dir)])
+        assert result.exit_code == 2, result.output
+        assert "--methods" in result.output
+        assert not out_dir.exists()
+
     def test_k_out_of_range_rejected(self, runner, tree_csv):
         result = runner.invoke(main, ["bench", "--data", tree_csv,
                                       "--methods", "mim",
@@ -278,7 +306,8 @@ class TestDiagnoseCommand:
     def test_diagnose_factors_the_block_once(self, runner, tree_csv,
                                              tmp_path, monkeypatch):
         # run_hofs factors the standardized block; the balance ratio reads
-        # the run's subset estimates and factors nothing again
+        # the run's subset estimates and factors nothing again, and the
+        # partition correlations are the block's Gram, not np.corrcoef's
         calls = [0]
         qr = np.linalg.qr
 
@@ -286,7 +315,11 @@ class TestDiagnoseCommand:
             calls[0] += 1
             return qr(*args, **kwargs)
 
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.corrcoef called")
+
         monkeypatch.setattr(np.linalg, "qr", counted)
+        monkeypatch.setattr(np, "corrcoef", refuse)
         result = runner.invoke(main, ["diagnose", "--data", tree_csv,
                                       "--out-dir", str(tmp_path / "diag")])
         assert result.exit_code == 0, result.output

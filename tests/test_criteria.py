@@ -47,6 +47,11 @@ class TestCriterionConfig:
         with pytest.raises(CriterionError):
             Criterion(MIFS, beta=-0.5)
 
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf")])
+    def test_non_finite_beta_rejected(self, beta):
+        with pytest.raises(CriterionError):
+            Criterion(MIFS, beta=beta)
+
     def test_already_selected_candidate_rejected(self):
         rng = np.random.default_rng(0)
         view, labels = random_view(rng, 60, 4)

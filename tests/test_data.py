@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -306,23 +307,21 @@ class TestDiscretize:
 
         rng = np.random.default_rng(9)
         x = rng.normal(size=2000)
-        cases = [(x, 5, "equal_frequency"),
-                 (np.round(x, 1), 5, "equal_frequency"),
-                 (rng.exponential(size=500) ** 3, 10, "equal_frequency"),
+        cases = [(x, 5), (np.round(x, 1), 5),
+                 (rng.exponential(size=500) ** 3, 10),
                  # 255 and 256 edges: the largest count a uint8 holds,
                  # and the first that needs a uint16
-                 (x, 256, "equal_frequency"), (x, 257, "equal_frequency")]
+                 (x, 256), (x, 257)]
         # an interior bin that comes out empty: [0.6, 1.4)
         gap = np.array([0.0] * 40 + [1.0] * 20 + [2.0] * 40)
-        gaps = [(gap, 5, "equal_frequency")]
-        for k, (col, bins, scheme) in enumerate(cases + gaps):
-            codes, edges = _discretize_column(col, "continuous", bins,
-                                              scheme)
+        gaps = [(gap, 5)]
+        for k, (col, bins) in enumerate(cases + gaps):
+            codes, edges = _discretize_column(col, "continuous", bins)
             if bins > 255:
                 assert edges.size == bins - 1
             ref = reference(col, edges)
             assert codes.dtype == ref.dtype
-            assert np.array_equal(codes, ref), (bins, scheme)
+            assert np.array_equal(codes, ref), bins
             if k >= len(cases):
                 raw = np.unique(np.searchsorted(edges, col, side="right"))
                 assert raw[-1] - raw[0] + 1 > len(raw)
@@ -356,8 +355,7 @@ class TestDiscretize:
             n = int(rng.integers(2, 5001))
             bins = int(rng.integers(2, 61))
             col = makers[trial % len(makers)](n)
-            codes, edges = _discretize_column(col, "continuous", bins,
-                                              "equal_frequency")
+            codes, edges = _discretize_column(col, "continuous", bins)
             if col.max() - col.min() < 1e-12:
                 assert edges.size == 0 and not codes.any()
                 continue
@@ -373,6 +371,14 @@ class TestDiscretize:
             discretize(small_table(), bins=1)
         with pytest.raises(DataError):
             discretize(small_table(), bins=5, scheme="mystery")
+        # checked before the columns, so a table with no continuous
+        # column, which bins nothing, rejects it too
+        table = small_table()
+        categorical = replace(table, columns=table.columns[1:],
+                              feature_names=table.feature_names[1:],
+                              feature_kinds=table.feature_kinds[1:])
+        with pytest.raises(DataError):
+            discretize(categorical, bins=5, scheme="mystery")
 
 
 def same_partition(a, b):
@@ -386,8 +392,7 @@ class TestTiedCodes:
         rng = np.random.default_rng(5)
         for bins in (2, 5, 9):
             x = rng.normal(size=3000)
-            codes, _ = _discretize_column(x, "continuous", bins,
-                                          "equal_frequency")
+            codes, _ = _discretize_column(x, "continuous", bins)
             counts = tied_equal_frequency_counts(x[None], bins)[0]
             assert np.array_equal(counts, codes)
 
@@ -400,8 +405,7 @@ class TestTiedCodes:
         assert np.unique(col).size > 3
         codes = tied_equal_frequency_counts(col[None], 5)[0]
         assert same_partition(codes, np.unique(level, return_inverse=True)[1])
-        split, _ = _discretize_column(col, "continuous", 5,
-                                      "equal_frequency")
+        split, _ = _discretize_column(col, "continuous", 5)
         assert np.unique(split).size > 3
 
     def test_matches_oracle_walk(self):

@@ -395,6 +395,32 @@ class TestInvariance:
                                "const", "continuous")
         assert_same_selection(table, padded, T)
 
+    @pytest.mark.parametrize("make", [
+        lambda: gen_tree(TreeModelSpec(n_samples=5000, seed=1)),
+        lambda: gen_hetero(HeteroModelSpec(seed=0)),
+    ], ids=["tree-5k", "hetero"])
+    @pytest.mark.parametrize("constant", [
+        lambda table: 1e6 + 1e-9 * table.columns[0],
+        lambda table: np.full(table.n_samples, 2.5),
+    ], ids=["constant-up-to-rounding", "exactly-constant"])
+    def test_appended_constant_column_opens_its_own_subset(self, make,
+                                                           constant):
+        # picked last, it opens a subset of its own: 1e6 + 1e-9 x1 is one
+        # level to discretize and a zero row of the block, so coverage too
+        # must not see its 0.99 raw correlation with x1 (F1), or it joins
+        # that subset and books its own MI of 0 over the subset's
+        table = make()
+        m = table.n_features
+        _, subsets, _ = selection_by_name(table, m)
+        padded = append_column(table, constant(table), "const",
+                               "continuous")
+        order, padded_subsets, _ = selection_by_name(padded, m + 1)
+        assert order[-1] == "const"
+        assert padded_subsets[-1] == (["const"], 0.0)
+        assert padded_subsets[:-1] == subsets
+        assert sum(mi for _, mi in padded_subsets) == \
+            sum(mi for _, mi in subsets)
+
     @TREE_AND_HETERO
     def test_appended_copy_of_first_pick_adds_nothing(self, make, T):
         # a guard on the rest of the selection only: the copy itself wins
@@ -541,6 +567,24 @@ class TestDiagnostics:
         assert per[1] is None
         # the constant column's correlation row reads 0, not NaN
         assert max_between == 0.0
+        # on a run's partition, bit for bit the means of the matrix that
+        # assigned its subsets
+        config = HofsConfig()
+        for table, T in [
+                (gen_tree(TreeModelSpec(n_samples=5000, seed=1)), 9),
+                (gen_hetero(HeteroModelSpec(seed=0)), 20)]:
+            partition, _ = run_hofs(table, T, config)
+            corr = _EngineState(table, config).corr
+            max_between, per = partition_correlation(partition, table)
+            for sub, value in zip(partition.subsets, per):
+                ids = sub.feature_ids
+                pairs = np.triu_indices(len(ids), 1)
+                assert value == (None if len(ids) < 2 else float(
+                    corr[np.ix_(ids, ids)][pairs].mean()))
+            assert max_between == max(
+                float(corr[np.ix_(a.feature_ids, b.feature_ids)].mean())
+                for i, a in enumerate(partition.subsets)
+                for b in partition.subsets[i + 1:])
 
 
 def binned_entropy(recon, labels, bins):
@@ -673,12 +717,17 @@ class TestLabelFit:
                                                            monkeypatch):
         # the QR factor is computed once per run, no solve sees the N
         # sample rows, and the stacked label fits compute each distinct
-        # (subset members, candidate) key of the run exactly once
+        # (subset members, candidate) key of the run exactly once; the
+        # coverage correlations are the block's Gram, not a second
+        # standardization by np.corrcoef
         n = small_tree.n_samples
         calls = {"keys": [], "qr": 0, "svd_rows": []}
         stacked = hofs.label_conditional_entropies
         qr = np.linalg.qr
         svd = np.linalg.svd
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.corrcoef called")
 
         def counted_stacked(block, R, subset, candidates, *args, **kwargs):
             calls["keys"] += [(tuple(subset), c) for c in candidates]
@@ -696,6 +745,7 @@ class TestLabelFit:
                             counted_stacked)
         monkeypatch.setattr(np.linalg, "qr", counted_qr)
         monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(np, "corrcoef", refuse)
         partition, trace = run_hofs(small_tree, 9, HofsConfig())
 
         # distinct (subset members, candidate) keys looked up in the run
