@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .infotheory import (entropy, information_from_entropies,
-                         label_entropies, pair_information)
+                         label_entropies, narrow_codes, pair_information)
 
 MIM = "MIM"
 MIFS = "MIFS"
@@ -67,23 +67,24 @@ class _PairCache:
     label vector at a time: every select_greedy or score_candidate call
     over that view with equal labels fills each of them once, and other
     labels replace them with fresh ones. Labels are compared by content
-    against a private copy, so a caller that rewrites its array in
-    place never reads tables of the old values. The tables live and
-    die with the view, whose codes are never rewritten.
+    against a private copy in their narrowest unsigned dtype
+    (narrow_codes), which every table counts, so a caller that rewrites
+    its array in place never reads tables of the old values. The tables
+    live and die with the view, whose codes are never rewritten.
     """
 
     def __init__(self, view, labels):
         self.codes = view.codes
-        labels = np.asarray(labels, dtype=np.int64)
         shared = view.criteria_tables
         if shared is None or not np.array_equal(shared[0], labels):
+            labels = narrow_codes(labels)
             h_x, h_xy = (h.tolist()
                          for h in label_entropies(view.codes, labels))
             h_y = entropy(labels)
             rel = [information_from_entropies(a, h_y, ab)
                    for a, ab in zip(h_x, h_xy)]
             shared = view.criteria_tables = (
-                labels.copy(), h_x, h_xy, h_y, rel, {})
+                labels, h_x, h_xy, h_y, rel, {})
         (self.labels, self.h_x, self.h_xy, self.h_y, self.rel,
          self.pairs) = shared
 

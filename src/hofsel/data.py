@@ -7,6 +7,7 @@ that the entropy estimators consume.
 """
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -83,7 +84,10 @@ class DataTable:
 class DiscretizedView:
     """Integer codes per column, the substrate for plug-in entropies.
 
-    codes[j] has values in [0, n_levels[j]); bin_edges[j] is None for
+    codes[j] has values in [0, n_levels[j]), in the narrowest unsigned
+    dtype that holds n_levels[j] - 1 (uint8 up to 256 levels, uint16
+    above), so the estimators pack and count one byte per sample and
+    column on the usual bin counts; bin_edges[j] is None for
     categorical columns and an ascending interior-edge array otherwise.
     criteria_tables holds the per-feature entropies, relevances and pair
     tables the criteria computed over these codes for one label vector
@@ -390,21 +394,28 @@ def _edge_counts(values, edges):
 
 
 def _discretize_column(col, kind, bins):
+    """A column's codes in [0, levels), in the narrowest unsigned dtype
+    that holds levels - 1, and its interior edges (None if categorical)."""
     if kind == CATEGORICAL:
         _, codes = np.unique(col, return_inverse=True)
-        return codes.astype(np.int64), None
+        return codes.astype(np.min_scalar_type(codes.max())), None
     s = np.sort(col)
     lo, hi = s[0], s[-1]
-    # constant up to rounding at the column's own scale
-    if hi - lo <= 1e-12 * max(abs(lo), abs(hi)):
-        return np.zeros(col.shape[0], dtype=np.int64), np.empty(0)
+    # constant up to rounding at the column's own scale: the std rule of
+    # hofs.standardized_block, so both read the same columns as constant.
+    # The std is at least range / sqrt(2N), so a wider range never needs it.
+    tol = 1e-12 * max(abs(lo), abs(hi))
+    if (hi - lo <= math.sqrt(2 * col.shape[0]) * tol
+            and float(np.std(col)) <= tol):
+        return np.zeros(col.shape[0], dtype=np.uint8), np.empty(0)
     edges = np.unique(_sorted_quantiles(s, np.arange(1, bins) / bins))
-    codes = _edge_counts(col, edges).astype(np.int64)
+    codes = _edge_counts(col, edges)
     # compacted, so that the levels are contiguous even when a bin came
     # out empty
     present = np.bincount(codes, minlength=edges.size + 1) > 0
     if not present.all():
-        codes = (np.cumsum(present) - 1)[codes]
+        ranks = np.cumsum(present) - 1
+        codes = ranks.astype(np.min_scalar_type(ranks[-1]))[codes]
     return codes, edges
 
 
@@ -423,8 +434,10 @@ def discretize(table, bins=5, scheme="equal_frequency"):
     1/B..(B-1)/B quantiles (duplicate edges collapse), read off one sort
     of the column by np.quantile's "linear" rule, so they equal
     np.quantile's, and codes a value by the count of edges at or below
-    it (_edge_counts), compacted. A continuous column whose range is at
-    most 1e-12 of its largest |value| is one level.
+    it (_edge_counts), compacted. A continuous column whose std is at
+    most 1e-12 of its largest |value| is one level, by the rule of
+    hofs.standardized_block. Each column's codes come in the narrowest
+    unsigned dtype that holds its levels: uint8 up to 256 levels.
     Labels are never binned; they stay class codes on the DataTable.
     """
     if bins < 2:

@@ -40,7 +40,7 @@ import numpy as np
 
 from .data import discretize, tied_equal_frequency_counts
 from .infotheory import (entropy, information_from_entropies, joint_codes,
-                         joint_entropy, label_entropies,
+                         joint_entropy, label_entropies, narrow_codes,
                          row_conditional_entropies)
 
 
@@ -238,7 +238,9 @@ class _EngineState:
     def __init__(self, data, config):
         self.config = config
         self.view = discretize(data, bins=config.bins)
-        self.labels = data.labels
+        # narrowed once: every table of the run counts them with one-byte
+        # codes
+        self.labels = narrow_codes(data.labels)
         self.block = standardized_block(data)
         self.R = np.linalg.qr(self.block.T, mode="r")
         self.stdcols = self.block[:-1]

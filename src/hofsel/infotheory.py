@@ -1,15 +1,20 @@
 """Plug-in discrete estimators over integer-coded columns.
 
 Every estimate counts once: the codes of a tuple of columns are packed
-into one int64 key per sample (mixed radix, width max + 1 per column)
-and counted with np.bincount. The nonzero counts come out in ascending
-key order, which is the lexicographic order of the code tuples, so an
-entropy does not depend on how its keys were packed. bincount needs one
-cell per possible key, so a radix above _RADIX_PER_SAMPLE cells per
-sample is compacted to the ranks of the keys seen (np.unique, the only
-sort on the counting path), which keeps their order. Codes must be
-nonnegative: a negative code would share its key with another tuple, so
-it raises EstimatorError.
+into one key per sample (mixed radix, width max + 1 per column) and
+counted with np.bincount. The keys take the narrowest unsigned dtype
+that holds the table's cell count (_key_dtype): uint8 for the (code,
+code, label) tables of 5-level columns and a binary label, so packing
+moves one byte per sample where int64 moved eight. The nonzero counts
+come out in ascending key order, which is the lexicographic order of the
+code tuples, so an entropy does not depend on how its keys were packed
+or in which dtype. bincount needs one cell per possible key, so a radix
+above _RADIX_PER_SAMPLE cells per sample is compacted to the ranks of
+the keys seen (np.unique, the only sort on the counting path), which
+keeps their order. Codes must be nonnegative: a negative code would
+share its key with another tuple, so a signed column with one raises
+EstimatorError. narrow_codes puts a code column, such as the labels,
+into its narrowest unsigned dtype once, before it is counted many times.
 
 label_entropies counts each column's (code, label) table once and reads
 H(x) and H(x, y) from it; pair_information reads three pairwise
@@ -25,8 +30,9 @@ import numpy as np
 
 # Cells per sample a bincount may span before keys are compacted: the
 # count buffer stays within 4x the key array, and up to there one
-# bincount (3 ms over 4N cells at N = 100k) costs less than the
-# np.unique that would compact the keys (4-5 ms).
+# bincount (0.4 ms over 4N cells at N = 100k, uint32 keys, on a 2-CPU
+# x86_64 Xeon) costs less than the np.unique that would compact the keys
+# (2.7 ms).
 _RADIX_PER_SAMPLE = 4
 
 
@@ -35,7 +41,10 @@ class EstimatorError(ValueError):
 
 
 def _as_columns(x):
-    """Normalize an argument to a list of int64 code vectors."""
+    """Normalize an argument to a list of integer code vectors.
+
+    Integer columns keep their dtype; uint64, which np.bincount rejects,
+    and non-integer columns are cast to int64."""
     if isinstance(x, np.ndarray) and x.ndim == 1:
         cols = [x]
     elif isinstance(x, (list, tuple)):
@@ -49,8 +58,34 @@ def _as_columns(x):
         arr = np.asarray(c)
         if arr.ndim != 1:
             raise EstimatorError("columns must be 1-D")
-        out.append(arr.astype(np.int64, copy=False))
+        if not (arr.dtype.kind == "i"
+                or arr.dtype.kind == "u" and arr.dtype.itemsize < 8):
+            arr = arr.astype(np.int64)
+        out.append(arr)
     return out
+
+
+def _key_dtype(cells):
+    """The narrowest unsigned dtype that holds every key below cells;
+    int64 past uint32, since np.bincount rejects uint64."""
+    dtype = np.min_scalar_type(max(cells - 1, 0))
+    return dtype if dtype.itemsize < 8 else np.dtype(np.int64)
+
+
+def _levels(c):
+    """max + 1 of a code column, after the negative-code check, which
+    only a signed column needs."""
+    if c.dtype.kind == "i" and c.min() < 0:
+        raise EstimatorError("negative code %d: codes must be >= 0"
+                             % c.min())
+    return int(c.max()) + 1
+
+
+def narrow_codes(col):
+    """A fresh copy of a code column in the narrowest unsigned dtype that
+    holds its codes; a negative code raises EstimatorError."""
+    col = _as_columns(col)[0]
+    return col.astype(_key_dtype(_levels(col)))
 
 
 def _compact(codes):
@@ -59,13 +94,9 @@ def _compact(codes):
     return ranks, int(ranks.max()) + 1
 
 
-def joint_codes(cols):
-    """Pack per-column codes into one int64 key per sample.
-
-    Keys follow the lexicographic order of the code tuples and stay
-    below _RADIX_PER_SAMPLE * N; they are the mixed-radix keys (width
-    max + 1 per column) unless that radix exceeds the bound.
-    """
+def _pack(cols):
+    """joint_codes' keys of the columns, and the shape of their dense
+    table: the max + 1 width of each column."""
     cols = _as_columns(cols)
     if not cols:
         raise EstimatorError("need at least one column")
@@ -73,30 +104,57 @@ def joint_codes(cols):
     if n == 0:
         raise EstimatorError("empty column")
     bound = _RADIX_PER_SAMPLE * n
-    codes = None
+    keys = None
+    shape = []
     radix = 1
+    owned = compacted = False
     for c in cols:
         if c.shape[0] != n:
             raise EstimatorError("column length mismatch")
-        if c.min() < 0:
-            raise EstimatorError("negative code %d: codes must be >= 0"
-                                 % c.min())
-        width = int(c.max()) + 1
+        width = _levels(c)
+        shape.append(width)
         if width > bound:
             c, width = _compact(c)
-        if codes is None:
-            codes = c
-        elif codes is cols[0]:
-            codes = codes * width + c  # never write the caller's column
-        else:
-            # in place: a fresh N-sample buffer costs more in page faults
-            # than the arithmetic that fills it
-            codes *= width
-            codes += c
         radix *= width
+        # the ufuncs run in the key dtype and the width is cast to it, so
+        # that value-based casting and NEP 50 pick the same dtype; the
+        # radix bounds every key, so none wraps. Keys compacted by a sort
+        # stay np.unique's int64 ranks.
+        dtype = np.dtype(np.int64) if compacted else _key_dtype(radix)
+        if radix == width:
+            # every earlier key is 0: the key is the code (the caller's
+            # column itself when it has the dtype, so it is never written)
+            keys = c.astype(dtype, copy=False)
+            owned = False
+        else:
+            width = dtype.type(width)
+            if owned and keys.dtype == dtype:
+                # in place: a fresh N-sample buffer costs more in page
+                # faults than the arithmetic that fills it
+                keys *= width
+            else:
+                keys = np.multiply(keys, width, dtype=dtype,
+                                   casting="unsafe")
+                owned = True
+            np.add(keys, c, out=keys, dtype=dtype, casting="unsafe")
         if radix > bound:
-            codes, radix = _compact(codes)
-    return codes
+            keys, radix = _compact(keys)
+            owned = compacted = True
+    return keys, tuple(shape)
+
+
+def joint_codes(cols):
+    """Pack per-column codes into one key per sample.
+
+    Keys follow the lexicographic order of the code tuples and stay
+    below _RADIX_PER_SAMPLE * N; they are the mixed-radix keys (width
+    max + 1 per column) unless that radix exceeds the bound. They come
+    in the narrowest unsigned dtype that holds the radix until the keys
+    are first compacted, and as int64, np.unique's ranks, from there.
+    The key of one column is its codes in that dtype: the column itself
+    when it has it.
+    """
+    return _pack(cols)[0]
 
 
 def _joint_counts(cols):
@@ -188,8 +246,7 @@ def _entropy_reader(cols):
     more than _RADIX_PER_SAMPLE cells per sample form no table; h then
     counts the columns at its axes by _joint_counts.
     """
-    keys = joint_codes(cols)
-    shape = tuple(int(c.max()) + 1 for c in cols)
+    keys, shape = _pack(cols)
     if math.prod(shape) > _RADIX_PER_SAMPLE * keys.shape[0]:
         # joint_codes compacted these keys, so they index no table
         return lambda *axes: _h_from_counts(
@@ -229,18 +286,26 @@ def row_conditional_entropies(rows, labels, levels):
     nonnegative codes below levels.
 
     One bincount of (row, code, label) keys fills every row's (code,
-    label) table. H(row, labels) is read from a table's nonzero cells in
-    C order and H(row) from its nonzero row sums, which are the counts
-    _joint_counts gives for (row, labels) and for row, so each value
-    equals joint_entropy([row, labels]) - entropy(row) bit for bit.
+    label) table; the keys take the narrowest unsigned dtype that holds
+    the k * levels * L cells. H(row, labels) is read from a table's
+    nonzero cells in C order and H(row) from its nonzero row sums, which
+    are the counts _joint_counts gives for (row, labels) and for row, so
+    each value equals joint_entropy([row, labels]) - entropy(row) bit for
+    bit.
     """
+    k = len(rows)
     n_labels = int(labels.max()) + 1
-    keys = np.multiply(rows, n_labels, dtype=np.int64)
-    keys += labels
-    keys += (np.arange(len(rows)) * (levels * n_labels))[:, None]
-    tables = np.bincount(keys.ravel(), minlength=len(rows) * levels
-                         * n_labels).reshape(len(rows), levels * n_labels)
-    sums = tables.reshape(len(rows), levels, n_labels).sum(axis=2)
+    n_cells = k * levels * n_labels
+    dtype = _key_dtype(n_cells)
+    # the ufuncs run in the key dtype, as in _pack; every key is below
+    # n_cells, and so are the row offsets
+    keys = np.multiply(rows, dtype.type(n_labels), dtype=dtype,
+                       casting="unsafe")
+    np.add(keys, labels, out=keys, dtype=dtype, casting="unsafe")
+    keys += (np.arange(k) * (levels * n_labels)).astype(dtype)[:, None]
+    tables = np.bincount(keys.ravel(), minlength=n_cells).reshape(
+        k, levels * n_labels)
+    sums = tables.reshape(k, levels, n_labels).sum(axis=2)
     return np.array([_h_from_counts(cells[cells > 0])
                      - _h_from_counts(row[row > 0])
                      for cells, row in zip(tables, sums)])

@@ -217,16 +217,20 @@ class TestSharedTables:
             self, monkeypatch):
         # every table is counted by one _entropy_reader: a feature's
         # (code, label) table once, and a pair's (a, b, label) table once,
-        # with the two features' entropies handed in as its marginals
+        # with the two features' entropies handed in as its marginals.
+        # Each is one bincount of one-byte keys, and H(label) one more.
         import hofsel.criteria as criteria
         import hofsel.infotheory as infotheory
         table = gen_tree(TreeModelSpec(n_samples=5000, seed=0))
         T = table.n_features
         fresh = _fresh_runs(table, table.labels, T)
+        view = discretize(table, bins=5)
         tables = {2: 0, 3: 0}
         handed = []
+        keys = []
         reader = infotheory._entropy_reader
         pair = criteria.pair_information
+        bincount = np.bincount
 
         def counted_reader(cols):
             tables[len(cols)] += 1
@@ -236,11 +240,17 @@ class TestSharedTables:
             handed.append(kwargs.get("marginals") is not None)
             return pair(*args, **kwargs)
 
+        def counted_bincount(x, *args, **kwargs):
+            keys.append(x.dtype)
+            return bincount(x, *args, **kwargs)
+
         monkeypatch.setattr(infotheory, "_entropy_reader", counted_reader)
         monkeypatch.setattr(criteria, "pair_information", counted_pair)
-        shared = _shared_runs(discretize(table, bins=5), table.labels, T)
+        monkeypatch.setattr(np, "bincount", counted_bincount)
+        shared = _shared_runs(view, table.labels, T)
         assert tables == {2: T, 3: T * (T - 1) // 2}
         assert handed == [True] * (T * (T - 1) // 2)
+        assert keys == [np.uint8] * (T + T * (T - 1) // 2 + 1)
         assert shared == fresh
 
 

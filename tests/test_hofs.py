@@ -421,6 +421,20 @@ class TestInvariance:
         assert sum(mi for _, mi in padded_subsets) == \
             sum(mi for _, mi in subsets)
 
+    def test_binning_and_label_fits_share_one_constancy_rule(self,
+                                                             small_tree):
+        # std 9.5e-13 of its largest |value|, range 1.9e-12: within the
+        # std rule but past a range rule at 1e-12, so discretize would
+        # give it two levels and the label's 0.693 nats while the block
+        # gave it a zero row
+        column = 1e6 + 1.9e-6 * small_tree.labels
+        assert np.std(column) <= 1e-12 * column.max() < np.ptp(column)
+        padded = append_column(small_tree, column, "near", "continuous")
+        state = _EngineState(padded, HofsConfig())
+        assert state.view.n_levels[-1] == 1
+        assert state.rel[-1] == 0.0
+        assert state.constant[-1]
+
     @TREE_AND_HETERO
     def test_appended_copy_of_first_pick_adds_nothing(self, make, T):
         # a guard on the rest of the selection only: the copy itself wins
@@ -719,19 +733,30 @@ class TestLabelFit:
         # sample rows, and the stacked label fits compute each distinct
         # (subset members, candidate) key of the run exactly once; the
         # coverage correlations are the block's Gram, not a second
-        # standardization by np.corrcoef
+        # standardization by np.corrcoef. Every table is one bincount of
+        # one-byte keys: per feature its presence count in discretize and
+        # its (code, label) table, H(label), and one (row, code, label)
+        # count per stacked pass, whose k * 5 * 2 cells fit a uint8 here
         n = small_tree.n_samples
-        calls = {"keys": [], "qr": 0, "svd_rows": []}
+        m = small_tree.n_features
+        calls = {"keys": [], "qr": 0, "svd_rows": [], "passes": 0,
+                 "bincounts": []}
         stacked = hofs.label_conditional_entropies
         qr = np.linalg.qr
         svd = np.linalg.svd
+        bincount = np.bincount
 
         def refuse(*args, **kwargs):
             raise AssertionError("np.corrcoef called")
 
         def counted_stacked(block, R, subset, candidates, *args, **kwargs):
             calls["keys"] += [(tuple(subset), c) for c in candidates]
+            calls["passes"] += 1
             return stacked(block, R, subset, candidates, *args, **kwargs)
+
+        def counted_bincount(x, *args, **kwargs):
+            calls["bincounts"].append(x.dtype)
+            return bincount(x, *args, **kwargs)
 
         def counted_qr(a, *args, **kwargs):
             calls["qr"] += 1
@@ -746,6 +771,7 @@ class TestLabelFit:
         monkeypatch.setattr(np.linalg, "qr", counted_qr)
         monkeypatch.setattr(np.linalg, "svd", counted_svd)
         monkeypatch.setattr(np, "corrcoef", refuse)
+        monkeypatch.setattr(np, "bincount", counted_bincount)
         partition, trace = run_hofs(small_tree, 9, HofsConfig())
 
         # distinct (subset members, candidate) keys looked up in the run
@@ -766,6 +792,8 @@ class TestLabelFit:
         assert calls["qr"] == 1
         assert 0 < len(calls["svd_rows"]) < len(misses)
         assert n not in calls["svd_rows"]
+        assert calls["bincounts"] == [np.uint8] * (2 * m + 1
+                                                   + calls["passes"])
 
 
 def stacked_and_single(state, prefix, candidates):

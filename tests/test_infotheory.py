@@ -7,14 +7,18 @@ import oracles
 from hofsel.infotheory import (
     EstimatorError,
     _RADIX_PER_SAMPLE,
+    _h_from_counts,
     _joint_counts,
     conditional_entropy,
     conditional_mutual_information,
     entropy,
     joint_codes,
     joint_entropy,
+    label_entropies,
     mutual_information,
+    narrow_codes,
     pair_information,
+    row_conditional_entropies,
 )
 
 LOG2 = math.log(2.0)
@@ -265,3 +269,131 @@ class TestOracleAgreement:
         ours = mutual_information([a, b], y)
         ref = oracles.table_mi(oracles.joint_column([a, b]), y)
         assert ours == pytest.approx(ref, abs=1e-12)
+
+
+def tuple_counts(cols):
+    """Counts of the distinct code tuples in lexicographic order, by a
+    row-wise np.unique: no keys, so no key dtype can wrap them."""
+    return np.unique(np.stack([np.asarray(c, dtype=np.int64)
+                               for c in cols], axis=1),
+                     axis=0, return_counts=True)[1]
+
+
+def in_dtypes(cols):
+    """The columns as uint8 (when they fit), uint16 and int64."""
+    top = max(int(np.max(c)) for c in cols)
+    dtypes = [np.uint8] * (top < 256) + [np.uint16] * (top < 65536) + \
+        [np.int64]
+    return [[np.asarray(c).astype(d) for c in cols] for d in dtypes]
+
+
+def with_top_codes(rng, n, widths):
+    """Random columns of the given widths, each reaching its top code."""
+    cols = []
+    for w in widths:
+        c = rng.integers(0, w, size=n)
+        c[rng.integers(0, n)] = w - 1
+        cols.append(c)
+    return cols
+
+
+class TestNarrowKeys:
+    """Keys in the narrowest unsigned dtype count the tables that int64
+    keys counted: every value is == across input dtypes and equals the
+    tuple counts, at the dtype boundaries and past compaction."""
+
+    # (samples, column widths, key dtype): 256 and 257 cells, 65536 and
+    # 65537 cells, and radixes just above 4N, where the keys compact to
+    # int64 ranks; a column wider than 4N compacts alone, and the keys
+    # then hold its ranks' count
+    BOUNDARIES = [
+        (300, (16, 16), np.uint8),
+        (300, (256, 1), np.uint8),
+        (300, (1, 256), np.uint8),
+        (300, (257, 1), np.uint16),
+        (300, (1, 257), np.uint16),
+        (20000, (256, 256), np.uint16),
+        (20000, (65537, 1), np.uint32),
+        (20000, (1, 65537), np.uint32),
+        (100, (20, 20), np.uint16),
+        (100, (21, 20), np.int64),
+        (100, (5, 5, 5, 4), np.int64),
+        (100, (401, 2), np.uint8),
+    ]
+
+    @pytest.mark.parametrize("n, widths, dtype", BOUNDARIES)
+    def test_joint_values_equal_across_dtypes(self, n, widths, dtype):
+        rng = np.random.default_rng(sum(widths))
+        cols = with_top_codes(rng, n, widths)
+        ref = _h_from_counts(tuple_counts(cols))
+        for typed in in_dtypes(cols):
+            assert np.array_equal(_joint_counts(typed), tuple_counts(cols))
+            assert joint_entropy(typed) == ref
+            assert entropy(typed[0]) == _h_from_counts(
+                tuple_counts(cols[:1]))
+            keys = joint_codes(typed)
+            assert keys.max() < _RADIX_PER_SAMPLE * n
+            assert keys.dtype == dtype
+        if n <= 300:
+            assert ref == pytest.approx(oracles.table_entropy(cols),
+                                        abs=1e-12)
+
+    @pytest.mark.parametrize("n, widths, dtype", BOUNDARIES[:8])
+    def test_tables_equal_across_dtypes(self, n, widths, dtype):
+        # the last column is the label; a three-column pair table crosses
+        # the same boundary with a binary label
+        rng = np.random.default_rng(len(widths) + n)
+        a, b = with_top_codes(rng, n, widths)
+        y = with_top_codes(rng, n, (2,))[0]
+        expect = None
+        for ta, tb, ty in in_dtypes([a, b, y]):
+            got = (label_entropies([ta, tb], ty),
+                   pair_information(ta, tb, ty))
+            got = ([h.tolist() for h in got[0]], got[1])
+            if expect is None:
+                expect = got
+            assert got == expect
+        (h_x, h_xy), pair = expect
+        assert h_x == [entropy(a), entropy(b)]
+        assert h_xy == [joint_entropy([a, y]), joint_entropy([b, y])]
+        assert pair == (mutual_information(a, b),
+                        conditional_mutual_information(a, b, y),
+                        mutual_information([a, b], y))
+        if n <= 300:
+            assert pair[0] == pytest.approx(oracles.table_mi(a, b),
+                                            abs=1e-12)
+            assert pair[1] == pytest.approx(oracles.table_cmi(a, b, y),
+                                            abs=1e-12)
+
+    # (rows k, levels, labels L): k * levels * L cells of 256 and 258,
+    # and of 65536 and 65540, either side of the uint8 and uint16 bounds;
+    # one row of 256 or 65536 cells spans a whole dtype by itself
+    @pytest.mark.parametrize("k, levels, n_labels", [
+        (2, 64, 2), (3, 43, 2), (1, 128, 2), (4, 8192, 2), (5, 6554, 2),
+        (1, 32768, 2), (7, 5, 5)])
+    def test_row_entropies_equal_across_dtypes(self, k, levels, n_labels):
+        rng = np.random.default_rng(k)
+        n = 3000
+        rows = np.stack(with_top_codes(rng, n, (levels,) * k))
+        labels = with_top_codes(rng, n, (n_labels,))[0]
+        expect = [joint_entropy([row, labels]) - entropy(row)
+                  for row in rows]
+        for typed in in_dtypes([*rows, labels]):
+            got = row_conditional_entropies(np.stack(typed[:-1]), typed[-1],
+                                            levels)
+            assert got.tolist() == expect
+        if levels <= 64:
+            assert expect == pytest.approx(
+                [oracles.table_conditional_entropy([labels], [row])
+                 for row in rows], abs=1e-12)
+
+    def test_narrow_codes(self):
+        for top, dtype in ((0, np.uint8), (255, np.uint8), (256, np.uint16),
+                           (65535, np.uint16), (65536, np.uint32)):
+            col = np.array([0, top], dtype=np.int64)
+            narrow = narrow_codes(col)
+            assert narrow.dtype == dtype
+            assert np.array_equal(narrow, col)
+            assert narrow_codes(narrow) is not narrow
+        with pytest.raises(EstimatorError, match="negative"):
+            narrow_codes(np.array([1, -1]))
